@@ -1,14 +1,11 @@
 //! Unified table construction: one builder for the whole
 //! scheme × hash × capacity × seed × SIMD × growth grid.
 //!
-//! PR-1 grew a constructor per cell — `with_seed`, `with_seed_simd`,
-//! `with_hash`, `with_budget`, one [`TableFactory`] type per scheme, and
-//! `PointIndex::for_profile` — which forced every consumer (workload
-//! drivers, figure binaries, the query layer) to re-implement the same
-//! dispatch match. [`TableBuilder`] replaces that: describe the table
-//! once, then [`TableBuilder::build`] it as a `Box<dyn HashTable>`
-//! (static or growing), or hand the builder itself to
-//! [`DynamicTable`] — it *is* a [`TableFactory`].
+//! Describe the table once, then [`TableBuilder::build`] it as a
+//! `Box<dyn HashTable>` (static or growing), or hand the builder itself
+//! to [`DynamicTable`] — it *is* the [`TableFactory`] every growing table
+//! uses, so consumers (workload drivers, figure binaries, the query
+//! layer) never re-implement the scheme × hash dispatch.
 //!
 //! ```
 //! use sevendim_core::{HashKind, HashTable, TableBuilder, TableScheme};
@@ -34,11 +31,12 @@
 use crate::budget::chained24_directory_bits;
 use crate::decision::{recommend, TableChoice, WorkloadProfile};
 use crate::dynamic::{DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
+use crate::open_addressing::{Aos, Linear, OpenAddressing, ProbeSeq, SlotLayout, Soa, Triangular};
 use crate::sharded::ShardedTable;
 use crate::simd::ProbeKind;
 use crate::{
-    ChainedTable24, ChainedTable8, Cuckoo, FingerprintTable, HashTable, LinearProbing,
-    LinearProbingSoA, MemoryBudget, QuadraticProbing, RobinHood, TableError,
+    ChainedTable24, ChainedTable8, Cuckoo, FingerprintTable, HashTable, MemoryBudget, RobinHood,
+    TableError,
 };
 use hashfn::{HashFamily, MultAddShift, MultShift, Murmur, Tabulation};
 use slab_alloc::SlabAllocator;
@@ -582,39 +580,15 @@ impl TableBuilder {
         Ok(match self.scheme {
             TableScheme::Chained8 => match self.chained_budget {
                 Some(n) => Box::new(ChainedTable8::<H>::with_budget(bits, n, seed)?),
-                None => Box::new(self.unbudgeted_chained8::<H>()),
+                None => Box::new(self.unbudgeted_chained(ChainedTable8::<H>::new)),
             },
             TableScheme::Chained24 => match self.chained_budget {
                 Some(n) => Box::new(ChainedTable24::<H>::with_budget(bits, n, seed)?),
-                None => Box::new(self.unbudgeted_chained24::<H>()),
+                None => Box::new(self.unbudgeted_chained(ChainedTable24::<H>::new)),
             },
-            TableScheme::LinearProbing => {
-                let mut t = LinearProbing::<H>::with_seed(bits, seed);
-                if self.simd {
-                    t.set_probe_kind(ProbeKind::Simd);
-                }
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
-            TableScheme::LinearProbingSoA => {
-                let mut t = LinearProbingSoA::<H>::with_seed(bits, seed);
-                if self.simd {
-                    t.set_probe_kind(ProbeKind::Simd);
-                }
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
-            TableScheme::Quadratic => {
-                let mut t = QuadraticProbing::<H>::with_seed(bits, seed);
-                if let Some(w) = pb {
-                    t.set_prefetch_batch(w);
-                }
-                Box::new(t)
-            }
+            TableScheme::LinearProbing => self.open_addressing::<Aos, Linear, H>(),
+            TableScheme::LinearProbingSoA => self.open_addressing::<Soa, Linear, H>(),
+            TableScheme::Quadratic => self.open_addressing::<Aos, Triangular, H>(),
             TableScheme::RobinHood => {
                 let mut t = RobinHood::<H>::with_seed(bits, seed);
                 if let Some(w) = pb {
@@ -656,24 +630,31 @@ impl TableBuilder {
         })
     }
 
-    /// Unbudgeted chained table sized like the dynamic factories of §6: a
-    /// `2^(bits-1)` directory tracked against a `2^bits` nominal capacity,
-    /// keeping its footprint comparable to the open-addressing schemes.
-    fn unbudgeted_chained8<H: HashFamily>(&self) -> ChainedTable8<H> {
-        let dir_bits = self.bits.saturating_sub(1).max(1);
-        ChainedTable8::new(
-            dir_bits,
-            H::from_seed(self.seed),
-            SlabAllocator::new(),
-            MemoryBudget::unlimited(),
-            Some(1usize << self.bits),
-        )
+    /// LP, LP-SoA or QP: the open-addressing core instantiated over
+    /// layout `L` and probe sequence `P`. The SIMD toggle reaches every
+    /// instantiation, but only contiguous (linear) sequences use it.
+    fn open_addressing<L: SlotLayout, P: ProbeSeq, H: HashFamily>(&self) -> BoxedTable {
+        let mut t = OpenAddressing::<L, P, H>::with_seed(self.bits, self.seed);
+        if self.simd {
+            t.probe_kind = ProbeKind::Simd;
+        }
+        if let Some(w) = self.prefetch_batch {
+            t.set_prefetch_batch(w);
+        }
+        Box::new(t)
     }
 
-    fn unbudgeted_chained24<H: HashFamily>(&self) -> ChainedTable24<H> {
-        let dir_bits = self.bits.saturating_sub(1).max(1);
-        ChainedTable24::new(
-            dir_bits,
+    /// Unbudgeted chained table sized for the dynamic setting of §6: a
+    /// `2^(bits-1)` directory tracked against a `2^bits` nominal capacity,
+    /// keeping its footprint comparable to the open-addressing schemes
+    /// (`max(1)` only guards the degenerate `bits = 1` build). `new` is
+    /// [`ChainedTable8::new`] or [`ChainedTable24::new`].
+    fn unbudgeted_chained<H: HashFamily, T>(
+        &self,
+        new: fn(u8, H, SlabAllocator, MemoryBudget, Option<usize>) -> T,
+    ) -> T {
+        new(
+            self.bits.saturating_sub(1).max(1),
             H::from_seed(self.seed),
             SlabAllocator::new(),
             MemoryBudget::unlimited(),

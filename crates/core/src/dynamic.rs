@@ -4,8 +4,8 @@
 //! when the load factor crosses a threshold (the paper sweeps 50%, 70%,
 //! 90%), the table doubles its capacity and rehashes every entry. This
 //! module provides [`DynamicTable`], a scheme-agnostic wrapper implementing
-//! that policy over any [`TableFactory`], plus factories for every scheme
-//! in the study.
+//! that policy over any [`TableFactory`] — in practice
+//! [`crate::TableBuilder`], which builds every scheme in the study.
 //!
 //! Growing at 50% keeps collisions rare but can waste up to 75% of the
 //! allocated space right after a doubling; growing at 90% is space-frugal
@@ -67,21 +67,14 @@
 //! for optimistic readers is unchanged (a retiree's exact byte footprint
 //! is whatever its own [`HashTable::memory_bytes`] reports — an FP
 //! retiree pins its tag array, a chained one its slab). The factory hook
-//! is [`TableFactory::for_choice`], which only
-//! [`crate::TableBuilder`] implements non-trivially: the concrete
-//! per-scheme factories in this module are fixed to one table type and
-//! simply refuse to re-target.
+//! is [`TableFactory::for_choice`], which [`crate::TableBuilder`]
+//! implements for every choice; a factory fixed to one table type keeps
+//! the default and simply refuses to re-target.
 
 use crate::decision::{Mutability, TableChoice, WorkloadProfile};
 use crate::entries::EntrySnapshot;
 use crate::stats::{RuntimeStats, TableStats};
-use crate::{
-    is_reserved_key, ChainedTable24, ChainedTable8, Cuckoo, HashTable, InsertOutcome,
-    LinearProbing, LinearProbingSoA, MemoryBudget, QuadraticProbing, RobinHood, TableError,
-};
-use hashfn::HashFamily;
-use slab_alloc::SlabAllocator;
-use std::marker::PhantomData;
+use crate::{is_reserved_key, HashTable, InsertOutcome, TableError};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Builds fresh tables of one scheme at a requested capacity; used by
@@ -117,159 +110,6 @@ pub trait TableFactory: Clone {
         None
     }
 }
-
-macro_rules! simple_factory {
-    ($(#[$doc:meta])* $name:ident, $table:ident, $label:literal) => {
-        $(#[$doc])*
-        pub struct $name<H: HashFamily>(PhantomData<H>);
-
-        impl<H: HashFamily> $name<H> {
-            /// Create the factory.
-            pub fn new() -> Self {
-                Self(PhantomData)
-            }
-        }
-
-        impl<H: HashFamily> Default for $name<H> {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl<H: HashFamily> Clone for $name<H> {
-            fn clone(&self) -> Self {
-                Self(PhantomData)
-            }
-        }
-
-        impl<H: HashFamily> TableFactory for $name<H> {
-            type Table = $table<H>;
-
-            fn build(&self, bits: u8, seed: u64) -> Self::Table {
-                $table::with_seed(bits, seed)
-            }
-
-            fn scheme_name(&self) -> &'static str {
-                $label
-            }
-        }
-    };
-}
-
-simple_factory!(
-    /// Factory for [`LinearProbing`] tables.
-    LpFactory, LinearProbing, "LP"
-);
-simple_factory!(
-    /// Factory for [`LinearProbingSoA`] tables.
-    LpSoAFactory, LinearProbingSoA, "LPSoA"
-);
-simple_factory!(
-    /// Factory for [`QuadraticProbing`] tables.
-    QpFactory, QuadraticProbing, "QP"
-);
-simple_factory!(
-    /// Factory for [`RobinHood`] tables.
-    RhFactory, RobinHood, "RH"
-);
-
-/// Factory for [`Cuckoo`] tables with `K` sub-tables.
-pub struct CuckooFactory<H: HashFamily, const K: usize>(PhantomData<H>);
-
-impl<H: HashFamily, const K: usize> CuckooFactory<H, K> {
-    /// Create the factory.
-    pub fn new() -> Self {
-        Self(PhantomData)
-    }
-}
-
-impl<H: HashFamily, const K: usize> Default for CuckooFactory<H, K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<H: HashFamily, const K: usize> Clone for CuckooFactory<H, K> {
-    fn clone(&self) -> Self {
-        Self(PhantomData)
-    }
-}
-
-impl<H: HashFamily, const K: usize> TableFactory for CuckooFactory<H, K> {
-    type Table = Cuckoo<H, K>;
-
-    fn build(&self, bits: u8, seed: u64) -> Self::Table {
-        Cuckoo::with_seed(bits, seed)
-    }
-
-    fn scheme_name(&self) -> &'static str {
-        match K {
-            2 => "CuckooH2",
-            3 => "CuckooH3",
-            4 => "CuckooH4",
-            _ => "CuckooHk",
-        }
-    }
-}
-
-/// Factory for [`ChainedTable8`]: directory of half the nominal capacity
-/// (8 B · l/2 links keeps the footprint comparable to open addressing in
-/// the dynamic setting, cf. §6's 50%-threshold-only comparison).
-pub struct Chained8Factory<H: HashFamily>(PhantomData<H>);
-
-/// Factory for [`ChainedTable24`]: directory of half the nominal capacity
-/// (24 B · l/2 = 12 B per nominal slot, within the §4.5 budget).
-pub struct Chained24Factory<H: HashFamily>(PhantomData<H>);
-
-macro_rules! chained_factory_impls {
-    ($name:ident, $table:ident, $label:literal) => {
-        impl<H: HashFamily> $name<H> {
-            /// Create the factory.
-            pub fn new() -> Self {
-                Self(PhantomData)
-            }
-        }
-
-        impl<H: HashFamily> Default for $name<H> {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl<H: HashFamily> Clone for $name<H> {
-            fn clone(&self) -> Self {
-                Self(PhantomData)
-            }
-        }
-
-        impl<H: HashFamily> TableFactory for $name<H> {
-            type Table = $table<H>;
-
-            fn build(&self, bits: u8, seed: u64) -> Self::Table {
-                // Directory of *half* the nominal capacity (the doc'd
-                // §4.5-comparable convention; `min 2^1` only guards the
-                // degenerate bits = 1 build). `.max(4)` here once made a
-                // bits = 4 build a full-capacity directory, contradicting
-                // the convention — see `chained_directory_is_half_nominal`.
-                let dir_bits = bits.saturating_sub(1).max(1);
-                $table::new(
-                    dir_bits,
-                    hashfn::HashFamily::from_seed(seed),
-                    SlabAllocator::new(),
-                    MemoryBudget::unlimited(),
-                    Some(1usize << bits),
-                )
-            }
-
-            fn scheme_name(&self) -> &'static str {
-                $label
-            }
-        }
-    };
-}
-
-chained_factory_impls!(Chained8Factory, ChainedTable8, "ChainedH8");
-chained_factory_impls!(Chained24Factory, ChainedTable24, "ChainedH24");
 
 /// How a [`DynamicTable`] rehashes when it crosses its growth threshold.
 /// See the [module docs](self) for the trade-off.
@@ -1064,12 +904,20 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{HashKind, TableBuilder, TableScheme};
     use crate::tests_common::*;
-    use hashfn::{MultShift, Murmur};
+    use crate::{ChainedTable8, MemoryBudget};
+    use hashfn::{HashFamily, Murmur};
+    use slab_alloc::SlabAllocator;
 
     #[test]
     fn grows_on_threshold() {
-        let mut t = DynamicTable::new(LpFactory::<Murmur>::new(), 4, 1, 0.5);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+            4,
+            1,
+            0.5,
+        );
         assert_eq!(t.capacity(), 16);
         for k in 1..=8u64 {
             t.insert(k, k).unwrap();
@@ -1088,7 +936,12 @@ mod tests {
 
     #[test]
     fn replacement_does_not_grow() {
-        let mut t = DynamicTable::new(LpFactory::<Murmur>::new(), 4, 1, 0.5);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+            4,
+            1,
+            0.5,
+        );
         for k in 1..=8u64 {
             t.insert(k, k).unwrap();
         }
@@ -1102,7 +955,7 @@ mod tests {
 
     #[test]
     fn sustained_inserts_grow_repeatedly() {
-        let mut t = DynamicTable::new(RhFactory::<MultShift>::new(), 4, 7, 0.9);
+        let mut t = DynamicTable::new(TableBuilder::new(TableScheme::RobinHood), 4, 7, 0.9);
         for k in 1..=10_000u64 {
             t.insert(k, k * 2).unwrap();
         }
@@ -1115,7 +968,12 @@ mod tests {
 
     #[test]
     fn cuckoo_dynamic_handles_internal_failures() {
-        let mut t = DynamicTable::new(CuckooFactory::<Murmur, 2>::new(), 4, 3, 0.45);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::Cuckoo2).hash(HashKind::Murmur),
+            4,
+            3,
+            0.45,
+        );
         for k in 1..=5_000u64 {
             t.insert(k, k).unwrap();
         }
@@ -1127,7 +985,12 @@ mod tests {
 
     #[test]
     fn chained_factories_track_nominal_capacity() {
-        let mut t = DynamicTable::new(Chained24Factory::<Murmur>::new(), 6, 1, 0.5);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::Chained24).hash(HashKind::Murmur),
+            6,
+            1,
+            0.5,
+        );
         assert_eq!(t.capacity(), 64);
         for k in 1..=200u64 {
             t.insert(k, k).unwrap();
@@ -1146,10 +1009,18 @@ mod tests {
         // is the regression case: `.max(4)` used to produce a directory
         // *equal* to the nominal capacity there.
         for bits in 2..=8u8 {
-            let t8 = Chained8Factory::<Murmur>::new().build(bits, 1);
+            let t8 = TableFactory::build(
+                &TableBuilder::new(TableScheme::Chained8).hash(HashKind::Murmur),
+                bits,
+                1,
+            );
             assert_eq!(t8.capacity(), 1 << bits, "H8 nominal at bits {bits}");
             assert_eq!(t8.memory_bytes(), (1usize << (bits - 1)) * 8, "H8 dir at bits {bits}");
-            let t24 = Chained24Factory::<Murmur>::new().build(bits, 1);
+            let t24 = TableFactory::build(
+                &TableBuilder::new(TableScheme::Chained24).hash(HashKind::Murmur),
+                bits,
+                1,
+            );
             assert_eq!(t24.capacity(), 1 << bits, "H24 nominal at bits {bits}");
             assert_eq!(t24.memory_bytes(), (1usize << (bits - 1)) * 24, "H24 dir at bits {bits}");
         }
@@ -1157,7 +1028,12 @@ mod tests {
 
     #[test]
     fn model_semantics_preserved_across_growth() {
-        let mut t = DynamicTable::new(QpFactory::<Murmur>::new(), 4, 5, 0.7);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::Quadratic).hash(HashKind::Murmur),
+            4,
+            5,
+            0.7,
+        );
         check_against_model(&mut t, 4000, 0xD1);
     }
 
@@ -1165,7 +1041,7 @@ mod tests {
     fn model_semantics_preserved_across_incremental_growth() {
         for step in [1usize, 4, 64] {
             let mut t = DynamicTable::with_policy(
-                QpFactory::<Murmur>::new(),
+                TableBuilder::new(TableScheme::Quadratic).hash(HashKind::Murmur),
                 4,
                 5,
                 0.7,
@@ -1178,14 +1054,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "grow threshold")]
     fn rejects_invalid_threshold() {
-        let _ = DynamicTable::new(LpFactory::<Murmur>::new(), 4, 1, 1.5);
+        let _ = DynamicTable::new(
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+            4,
+            1,
+            1.5,
+        );
     }
 
     #[test]
     #[should_panic(expected = "step must be >= 1")]
     fn rejects_zero_migration_step() {
         let _ = DynamicTable::with_policy(
-            LpFactory::<Murmur>::new(),
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
             4,
             1,
             0.5,
@@ -1200,13 +1081,18 @@ mod tests {
         // the incremental table holds two generations.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut inc = DynamicTable::with_policy(
-            LpFactory::<Murmur>::new(),
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
             4,
             9,
             0.7,
             GrowthPolicy::Incremental { step: 1 },
         );
-        let mut aao = DynamicTable::new(LpFactory::<Murmur>::new(), 4, 9, 0.7);
+        let mut aao = DynamicTable::new(
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+            4,
+            9,
+            0.7,
+        );
         let mut rng = StdRng::seed_from_u64(0x5EED);
         let mut saw_migration = false;
         for stepno in 0..6000 {
@@ -1231,7 +1117,7 @@ mod tests {
     #[test]
     fn migration_drains_at_step_rate_and_completes() {
         let mut t = DynamicTable::with_policy(
-            LpFactory::<Murmur>::new(),
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
             4,
             2,
             0.5,
@@ -1269,7 +1155,7 @@ mod tests {
     #[test]
     fn replacing_an_unmigrated_key_reports_old_value() {
         let mut t = DynamicTable::with_policy(
-            LpFactory::<Murmur>::new(),
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
             4,
             3,
             0.5,
@@ -1295,7 +1181,7 @@ mod tests {
         // Cuckoo cycles inside the *new* generation force the rebuild
         // escape hatch mid-migration; no entry may be lost.
         let mut t = DynamicTable::with_policy(
-            CuckooFactory::<Murmur, 2>::new(),
+            TableBuilder::new(TableScheme::Cuckoo2).hash(HashKind::Murmur),
             4,
             3,
             0.45,
@@ -1313,7 +1199,7 @@ mod tests {
     #[test]
     fn incremental_batches_see_both_generations() {
         let mut t = DynamicTable::with_policy(
-            RhFactory::<Murmur>::new(),
+            TableBuilder::new(TableScheme::RobinHood).hash(HashKind::Murmur),
             4,
             5,
             0.5,
@@ -1457,7 +1343,12 @@ mod tests {
     #[test]
     fn retired_generations_accumulate_and_reclaim() {
         use crate::ReadView;
-        let mut t = DynamicTable::new(LpFactory::<Murmur>::new(), 4, 1, 0.5);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+            4,
+            1,
+            0.5,
+        );
         assert!(!t.supports_optimistic(), "retention off must disable optimism");
         t.retain_retired_allocations(true);
         assert!(t.supports_optimistic());
@@ -1484,7 +1375,7 @@ mod tests {
     fn optimistic_lookup_sees_both_generations() {
         use crate::ReadView;
         let mut t = DynamicTable::with_policy(
-            LpFactory::<Murmur>::new(),
+            TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
             4,
             3,
             0.5,
@@ -1506,15 +1397,18 @@ mod tests {
     #[test]
     fn unsupported_scheme_disables_dynamic_optimism() {
         use crate::ReadView;
-        let mut t = DynamicTable::new(Chained8Factory::<Murmur>::new(), 6, 1, 0.5);
+        let mut t = DynamicTable::new(
+            TableBuilder::new(TableScheme::Chained8).hash(HashKind::Murmur),
+            6,
+            1,
+            0.5,
+        );
         t.retain_retired_allocations(true);
         assert!(
             !t.supports_optimistic(),
             "chained inner tables must keep the dynamic wrapper pessimistic"
         );
     }
-
-    use crate::builder::{TableBuilder, TableScheme};
 
     /// A builder-backed dynamic table — the only factory whose
     /// generations can change scheme.
@@ -1608,8 +1502,8 @@ mod tests {
             MigrationPolicy::Grow,
         );
         assert_eq!(small.switch_to(TableChoice::FpMult), Ok(false));
-        // A factory that cannot re-target (the plain per-scheme factories).
-        let mut fixed = DynamicTable::new(LpFactory::<Murmur>::new(), 8, 1, 0.9);
+        // A factory that cannot re-target (one fixed to a single table type).
+        let mut fixed = DynamicTable::new(BudgetedChained8 { budget_bytes: 1 << 20 }, 8, 1, 0.9);
         assert_eq!(fixed.switch_to(TableChoice::FpMult), Ok(false));
         assert_eq!(t.scheme_switches() + small.scheme_switches() + fixed.scheme_switches(), 0);
     }

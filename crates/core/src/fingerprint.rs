@@ -38,7 +38,7 @@
 //! groups probe more often, larger ones scan scalar (no single-register
 //! compare) and evict more payload per miss.
 
-use crate::linear_probing::{two_pass_batch, two_pass_insert_batch};
+use crate::open_addressing::{two_pass, TwoPass};
 use crate::simd::{
     clamp_prefetch_batch, prefetch_read, scan_tags, ProbeKind, TagScan, EMPTY_TAG, PREFETCH_BATCH,
     TOMBSTONE_TAG,
@@ -84,7 +84,7 @@ pub struct FingerprintTable<H: HashFn64, const GROUP: usize = GROUP_SLOTS> {
     len: usize,
     tombstones: usize,
     probe_kind: ProbeKind,
-    pub(crate) prefetch_batch: usize,
+    prefetch_batch: usize,
 }
 
 impl<H: HashFamily, const GROUP: usize> FingerprintTable<H, GROUP> {
@@ -172,19 +172,6 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
         let h = self.hash.hash(key);
         let group_bits = self.bits - GROUP.trailing_zeros() as u8;
         (fold_to_bits(h, group_bits), (h & 0x7F) as u8)
-    }
-
-    /// Packed form of [`FingerprintTable::home`] for the batch macros:
-    /// `group << 7 | fingerprint` (the tag is 7 bits), so one
-    /// precomputed `usize` carries everything pass 2 needs. The group
-    /// index needs `bits - log2(GROUP)` bits, so the packing fits any
-    /// table constructible on the target — even 32-bit address spaces
-    /// run out of memory for the payload long before `group << 7` can
-    /// overflow `usize`.
-    #[inline(always)]
-    fn packed_home(&self, key: u64) -> usize {
-        let (group, tag) = self.home(key);
-        group << 7 | tag as usize
     }
 
     #[inline(always)]
@@ -338,6 +325,26 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
     }
 }
 
+impl<H: HashFn64, const GROUP: usize> TwoPass for FingerprintTable<H, GROUP> {
+    fn window(&self) -> usize {
+        self.prefetch_batch
+    }
+
+    /// Packed form of [`FingerprintTable::home`], prefetching the home
+    /// group's tag line: `group << 7 | fingerprint` (the tag is 7 bits),
+    /// so one precomputed `usize` carries everything pass 2 needs. The group
+    /// index needs `bits - log2(GROUP)` bits, so the packing fits any
+    /// table constructible on the target — even 32-bit address spaces
+    /// run out of memory for the payload long before `group << 7` can
+    /// overflow `usize`.
+    #[inline(always)]
+    fn prefetch_home(&self, key: u64) -> usize {
+        let (group, tag) = self.home(key);
+        prefetch_read(&self.tags[group * GROUP] as *const u8);
+        group << 7 | tag as usize
+    }
+}
+
 impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
     fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
         if is_reserved_key(key) {
@@ -392,18 +399,7 @@ impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
     }
 
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.packed_home(k),
-            |t: &Self, h: usize| &t.tags[(h >> 7) * GROUP] as *const u8,
-            |t: &Self, h: usize, k| if is_reserved_key(k) {
-                None
-            } else {
-                t.lookup_from(h >> 7, (h & 0x7F) as u8, k)
-            }
-        );
+        two_pass(self, keys, out, None, |t, h, k| t.lookup_from(h >> 7, (h & 0x7F) as u8, k));
     }
 
     fn insert_batch(
@@ -411,29 +407,13 @@ impl<H: HashFn64, const GROUP: usize> HashTable for FingerprintTable<H, GROUP> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.packed_home(k),
-            |t: &Self, h: usize| &t.tags[(h >> 7) * GROUP] as *const u8,
-            |t: &mut Self, h: usize, k, v| t.insert_from(h >> 7, (h & 0x7F) as u8, k, v)
-        );
+        two_pass(self, items, out, Err(TableError::ReservedKey), |t, h, (k, v)| {
+            t.insert_from(h >> 7, (h & 0x7F) as u8, k, v)
+        });
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.packed_home(k),
-            |t: &Self, h: usize| &t.tags[(h >> 7) * GROUP] as *const u8,
-            |t: &mut Self, h: usize, k| if is_reserved_key(k) {
-                None
-            } else {
-                t.delete_from(h >> 7, (h & 0x7F) as u8, k)
-            }
-        );
+        two_pass(self, keys, out, None, |t, h, k| t.delete_from(h >> 7, (h & 0x7F) as u8, k));
     }
 
     fn len(&self) -> usize {

@@ -33,7 +33,9 @@
 //! 16-byte key/value pairs — which the paper found superior in most cases
 //! (§7). [`LinearProbingSoA`] provides the struct-of-arrays alternative,
 //! and both layouts have AVX2-accelerated probing variants (see [`simd`])
-//! used by the Figure 7 reproduction.
+//! used by the Figure 7 reproduction. LP, LP-SoA and QP are one
+//! [`OpenAddressing`] core instantiated over a slot layout and a probe
+//! sequence — see [`open_addressing`].
 
 pub mod budget;
 pub mod builder;
@@ -45,6 +47,7 @@ pub mod entries;
 pub mod fingerprint;
 pub mod linear_probing;
 pub mod lp_soa;
+pub mod open_addressing;
 pub mod optimistic;
 pub mod quadratic;
 pub mod robin_hood;
@@ -60,14 +63,12 @@ pub use builder::{profile_choice, BoxedTable, FsyncPolicy, HashKind, TableBuilde
 pub use chained::{ChainedTable24, ChainedTable8};
 pub use cuckoo::Cuckoo;
 pub use decision::{recommend, TableChoice, WorkloadProfile};
-pub use dynamic::{
-    AdaptiveConfig, Chained24Factory, Chained8Factory, CuckooFactory, DynamicTable, GrowthPolicy,
-    LpFactory, LpSoAFactory, MigrationPolicy, QpFactory, RhFactory, TableFactory,
-};
+pub use dynamic::{AdaptiveConfig, DynamicTable, GrowthPolicy, MigrationPolicy, TableFactory};
 pub use entries::EntrySnapshot;
 pub use fingerprint::{FingerprintTable, GROUP_SLOTS};
 pub use linear_probing::{DeleteStrategy, LinearProbing};
 pub use lp_soa::LinearProbingSoA;
+pub use open_addressing::OpenAddressing;
 pub use optimistic::{ReadView, OPTIMISTIC_RETRIES};
 pub use quadratic::QuadraticProbing;
 pub use robin_hood::{RhLookupMode, RobinHood};

@@ -10,361 +10,20 @@
 //! while AoS needs gathers.
 //!
 //! Semantics (probe order, optimized tombstones, map behaviour) are
-//! identical to [`crate::LinearProbing`]; the shared behavioural test
-//! suite runs against both.
+//! identical to [`crate::LinearProbing`]: both are instantiations of the
+//! [open-addressing core](crate::open_addressing), differing only in the
+//! slot layout.
 
-use crate::linear_probing::{two_pass_batch, two_pass_insert_batch};
-use crate::simd::{
-    clamp_prefetch_batch, prefetch_read, scan_keys, ProbeKind, ScanOutcome, PREFETCH_BATCH,
-};
-use crate::{
-    check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, TableError,
-    EMPTY_KEY, TOMBSTONE_KEY,
-};
-use hashfn::{HashFamily, HashFn64};
+use crate::open_addressing::{Linear, OpenAddressing, Soa};
 
 /// Linear probing over split key/value arrays, optionally SIMD-probed.
-#[derive(Clone)]
-pub struct LinearProbingSoA<H: HashFn64> {
-    keys: Box<[u64]>,
-    values: Box<[u64]>,
-    bits: u8,
-    mask: usize,
-    hash: H,
-    len: usize,
-    tombstones: usize,
-    probe_kind: ProbeKind,
-    pub(crate) prefetch_batch: usize,
-}
-
-impl<H: HashFamily> LinearProbingSoA<H> {
-    /// Create a table with `2^bits` slots and a hash function drawn from
-    /// seed `seed` (scalar probing).
-    pub fn with_seed(bits: u8, seed: u64) -> Self {
-        Self::with_hash(bits, H::from_seed(seed))
-    }
-
-    /// Like [`LinearProbingSoA::with_seed`] with AVX2 probing where
-    /// available (paper §7, "LPSoAMultSIMD").
-    pub fn with_seed_simd(bits: u8, seed: u64) -> Self {
-        let mut t = Self::with_hash(bits, H::from_seed(seed));
-        t.probe_kind = ProbeKind::Simd;
-        t
-    }
-}
-
-impl<H: HashFn64> LinearProbingSoA<H> {
-    /// Create a table with `2^bits` slots using an explicit hash function.
-    pub fn with_hash(bits: u8, hash: H) -> Self {
-        let cap = check_capacity_bits(bits);
-        Self {
-            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
-            values: vec![0; cap].into_boxed_slice(),
-            bits,
-            mask: cap - 1,
-            hash,
-            len: 0,
-            tombstones: 0,
-            probe_kind: ProbeKind::Scalar,
-            prefetch_batch: PREFETCH_BATCH,
-        }
-    }
-
-    /// Switch between scalar and SIMD probing.
-    pub fn set_probe_kind(&mut self, kind: ProbeKind) {
-        self.probe_kind = kind;
-    }
-
-    /// Set the hash-and-prefetch window of the batch operations (clamped
-    /// to `1..=`[`crate::simd::MAX_PREFETCH_BATCH`]; default
-    /// [`PREFETCH_BATCH`]).
-    pub fn set_prefetch_batch(&mut self, window: usize) {
-        self.prefetch_batch = clamp_prefetch_batch(window);
-    }
-
-    /// The batch prefetch window in use.
-    pub fn prefetch_batch(&self) -> usize {
-        self.prefetch_batch
-    }
-
-    /// The probe kind in use.
-    pub fn probe_kind(&self) -> ProbeKind {
-        self.probe_kind
-    }
-
-    /// The hash function in use.
-    pub fn hash_fn(&self) -> &H {
-        &self.hash
-    }
-
-    /// Number of tombstone slots currently in the table.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Direct key-array access for statistics and tests.
-    pub fn raw_keys(&self) -> &[u64] {
-        &self.keys
-    }
-
-    /// Rebuild the table in place (same capacity, same hash function),
-    /// dropping all tombstones — the SoA twin of
-    /// [`LinearProbing::rehash_in_place`](crate::LinearProbing::rehash_in_place).
-    ///
-    /// Literally in place: live entries are snapshotted, the *existing*
-    /// key array is cleared and both arrays are refilled, so neither
-    /// allocation ever moves — the in-bounds guarantee optimistic readers
-    /// need (see [`crate::optimistic`]).
-    pub fn rehash_in_place(&mut self) {
-        let live: Vec<(u64, u64)> = self
-            .keys
-            .iter()
-            .zip(self.values.iter())
-            .filter(|(&k, _)| !is_reserved_key(k))
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        self.keys.fill(EMPTY_KEY);
-        self.len = 0;
-        self.tombstones = 0;
-        for (k, v) in live {
-            // Distinct keys into an equally-sized empty table: cannot
-            // fail or replace.
-            let _ = self.insert(k, v);
-        }
-    }
-
-    /// Blocked-insert remedy shared with the AoS variant: reclaim
-    /// tombstones by rehashing, then retry (at most once) before
-    /// reporting a full table.
-    fn reclaim_or_full(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if self.tombstones == 0 {
-            return Err(TableError::TableFull);
-        }
-        self.rehash_in_place();
-        self.insert(key, value)
-    }
-
-    #[inline(always)]
-    fn home(&self, key: u64) -> usize {
-        home_slot(&self.hash, key, self.bits)
-    }
-
-    /// Probe for `key` from its home slot `home` (kernels shared with the
-    /// SIMD module; the scalar kernel is the reference implementation).
-    #[inline]
-    fn probe_from(&self, home: usize, key: u64) -> Result<usize, usize> {
-        let r = scan_keys(&self.keys, home, key, self.probe_kind);
-        match r.outcome {
-            ScanOutcome::FoundKey(pos) => Ok(pos),
-            ScanOutcome::FoundEmpty(pos) => Err(r.first_tombstone.unwrap_or(pos)),
-            ScanOutcome::Exhausted => Err(r.first_tombstone.unwrap_or(usize::MAX)),
-        }
-    }
-
-    /// [`HashTable::insert`] body with a precomputed `home` slot; `key`
-    /// must not be reserved.
-    fn insert_from(
-        &mut self,
-        home: usize,
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        if self.probe_kind != ProbeKind::Simd && self.len + self.tombstones < self.mask {
-            // Hot scalar path, mirroring the AoS variant: empty-first
-            // probing over the key array, values touched only on the
-            // final store — the defining SoA cost profile.
-            let mut pos = home;
-            let mut first_tombstone = usize::MAX;
-            loop {
-                let k = self.keys[pos];
-                if k == EMPTY_KEY {
-                    if first_tombstone != usize::MAX {
-                        self.tombstones -= 1;
-                        pos = first_tombstone;
-                    }
-                    self.keys[pos] = key;
-                    self.values[pos] = value;
-                    self.len += 1;
-                    return Ok(InsertOutcome::Inserted);
-                }
-                if k == key {
-                    let old = std::mem::replace(&mut self.values[pos], value);
-                    return Ok(InsertOutcome::Replaced(old));
-                }
-                if k == TOMBSTONE_KEY && first_tombstone == usize::MAX {
-                    first_tombstone = pos;
-                }
-                pos = (pos + 1) & self.mask;
-            }
-        }
-        match self.probe_from(home, key) {
-            Ok(pos) => {
-                let old = std::mem::replace(&mut self.values[pos], value);
-                Ok(InsertOutcome::Replaced(old))
-            }
-            Err(usize::MAX) => self.reclaim_or_full(key, value),
-            Err(pos) => {
-                if self.keys[pos] == TOMBSTONE_KEY {
-                    self.tombstones -= 1;
-                } else if self.len + self.tombstones >= self.mask {
-                    // Keep one empty slot as the probe terminator; but
-                    // tombstones are reclaimable capacity, so rehash them
-                    // away and retry before declaring the table full.
-                    return self.reclaim_or_full(key, value);
-                }
-                self.keys[pos] = key;
-                self.values[pos] = value;
-                self.len += 1;
-                Ok(InsertOutcome::Inserted)
-            }
-        }
-    }
-
-    /// [`HashTable::lookup`] body with a precomputed `home` slot.
-    #[inline]
-    fn lookup_from(&self, home: usize, key: u64) -> Option<u64> {
-        match scan_keys(&self.keys, home, key, self.probe_kind).outcome {
-            // The value array is touched only on a hit — SoA's defining
-            // cost profile.
-            ScanOutcome::FoundKey(pos) => Some(self.values[pos]),
-            _ => None,
-        }
-    }
-
-    /// [`HashTable::delete`] body with a precomputed `home` slot.
-    fn delete_from(&mut self, home: usize, key: u64) -> Option<u64> {
-        let pos = self.probe_from(home, key).ok()?;
-        let value = self.values[pos];
-        let next = (pos + 1) & self.mask;
-        // Optimized tombstones, exactly as in the AoS variant.
-        if self.keys[next] == EMPTY_KEY {
-            self.keys[pos] = EMPTY_KEY;
-        } else {
-            self.keys[pos] = TOMBSTONE_KEY;
-            self.tombstones += 1;
-        }
-        self.len -= 1;
-        Some(value)
-    }
-}
-
-impl<H: HashFn64> HashTable for LinearProbingSoA<H> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
-        self.insert_from(self.home(key), key, value)
-    }
-
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.lookup_from(self.home(key), key)
-    }
-
-    fn delete(&mut self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.delete_from(self.home(key), key)
-    }
-
-    fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.keys[h] as *const u64,
-            |t: &Self, h, k| if is_reserved_key(k) { None } else { t.lookup_from(h, k) }
-        );
-    }
-
-    fn insert_batch(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.keys[h] as *const u64,
-            |t: &mut Self, h, k, v| t.insert_from(h, k, v)
-        );
-    }
-
-    fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.keys[h] as *const u64,
-            |t: &mut Self, h, k| if is_reserved_key(k) { None } else { t.delete_from(h, k) }
-        );
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    fn memory_bytes(&self) -> usize {
-        (self.keys.len() + self.values.len()) * std::mem::size_of::<u64>()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for (i, &k) in self.keys.iter().enumerate() {
-            if k < TOMBSTONE_KEY {
-                f(k, self.values[i]);
-            }
-        }
-    }
-
-    fn display_name(&self) -> String {
-        match self.probe_kind {
-            ProbeKind::Scalar => format!("LPSoA{}", H::name()),
-            ProbeKind::Simd => format!("LPSoA{}SIMD", H::name()),
-        }
-    }
-}
-
-/// Neither the key nor the value array moves after construction
-/// (`rehash_in_place` rebuilds inside the existing allocations), so
-/// lock-free readers stay in-bounds; the key and value are read at
-/// different instants, but a torn pairing implies a racing writer, which
-/// the caller's seqlock validation detects.
-impl<H: HashFn64> crate::optimistic::ReadView for LinearProbingSoA<H> {
-    fn supports_optimistic(&self) -> bool {
-        true
-    }
-
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        if is_reserved_key(key) {
-            return Some(None);
-        }
-        let pos = crate::optimistic::probe_keys_volatile(
-            &self.keys,
-            self.mask,
-            self.home(key),
-            key,
-            self.probe_kind,
-        );
-        Some(pos.map(|p| std::ptr::read_volatile(self.values.as_ptr().add(p))))
-    }
-}
+pub type LinearProbingSoA<H> = OpenAddressing<Soa, Linear, H>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests_common::*;
+    use crate::HashTable;
     use hashfn::{MultShift, Murmur};
 
     fn scalar(bits: u8) -> LinearProbingSoA<Murmur> {
@@ -439,6 +98,13 @@ mod tests {
         }
         for (i, &k) in soa.raw_keys().iter().enumerate() {
             assert_eq!(aos.raw_slots()[i].key, k, "slot {i} diverged");
+        }
+        // Identical placement => identical probe lengths, hits and misses.
+        let mut rng_state = 1u64;
+        for _ in 0..360 {
+            rng_state = rng_state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let k = rng_state >> 8;
+            assert_eq!(aos.lookup_probed(k), soa.lookup_probed(k), "probe length of {k}");
         }
         // Deletes keep them in lockstep too.
         let victims: Vec<u64> =

@@ -52,8 +52,8 @@
 //! compromise: the values are discarded unless validation proves the race
 //! did not happen.
 
-use crate::simd::{scan_pairs, ProbeKind, ScanOutcome};
-use crate::Pair;
+use crate::open_addressing::SlotLayout;
+use crate::simd::{ProbeKind, ScanOutcome};
 
 /// Number of optimistic attempts before a reader falls back to the lock.
 pub const OPTIMISTIC_RETRIES: usize = 2;
@@ -72,8 +72,8 @@ const WINDOW: usize = 32;
 /// per iteration, so termination stays capacity-bounded.
 const FIRST_WINDOW: usize = 8;
 
-/// Capacity-bounded optimistic probe over an AoS pair array (LP-family
-/// probe order: `home, home+1, …` circular): volatile-copy windows of
+/// Capacity-bounded optimistic probe in linear probe order (`home,
+/// home+1, …` circular) over either slot layout: volatile-copy windows of
 /// slots into a stack buffer, then run the configured scan kernel —
 /// scalar or SIMD — on the private copy. Returns the candidate value if
 /// the snapshot contains `key`, `None` if the probe hit an empty slot or
@@ -81,102 +81,73 @@ const FIRST_WINDOW: usize = 8;
 ///
 /// # Safety
 ///
-/// `slots` may alias a concurrently mutating table (see the module docs);
-/// the caller must validate via the seqlock stamp before trusting the
-/// answer. `mask + 1` must equal `slots.len()` (a power of two).
-pub(crate) unsafe fn probe_pairs_volatile(
-    slots: &[Pair],
+/// `layout` may alias a concurrently mutating table (see the module
+/// docs); the caller must validate via the seqlock stamp before trusting
+/// the answer. `mask + 1` must equal the layout's slot count (a power of
+/// two).
+pub(crate) unsafe fn probe_window_volatile<L: SlotLayout>(
+    layout: &L,
     mask: usize,
     home: usize,
     key: u64,
     kind: ProbeKind,
 ) -> Option<u64> {
     let cap = mask + 1;
-    let base = slots.as_ptr();
     // First window: constant-size copy, fully overwritten before use, so
     // the compiler unrolls it and elides any buffer initialization — the
     // common short probe never touches the big staging buffer below.
     let mut scanned = 0usize;
     if cap >= FIRST_WINDOW {
-        let mut first = [Pair::empty(); FIRST_WINDOW];
-        for (i, b) in first.iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + i) & mask));
-        }
-        // A circular scan of the private copy from 0 is a straight scan:
-        // the copy already starts at the probe position.
-        match scan_pairs(&first, 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some(first[pos].value),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
+        let mut first = [L::EMPTY_SLOT; FIRST_WINDOW];
+        if let Some(answer) = scan_window(layout, mask, home, &mut first, key, kind) {
+            return answer;
         }
         scanned = FIRST_WINDOW;
     }
     let w = WINDOW.min(cap);
-    let mut buf = [Pair::empty(); WINDOW];
+    let mut buf = [L::EMPTY_SLOT; WINDOW];
     // The loop advances by `w` masked slots per iteration and stops once
     // `cap` slots are covered (the last window may re-cover up to
     // `WINDOW - FIRST_WINDOW` already-scanned slots after wrapping —
     // benign for a circular scan) — termination never depends on table
     // invariants a racing writer could break.
     while scanned < cap {
-        for (i, b) in buf[..w].iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + scanned + i) & mask));
-        }
-        match scan_pairs(&buf[..w], 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some(buf[pos].value),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
+        if let Some(answer) = scan_window(layout, mask, home + scanned, &mut buf[..w], key, kind) {
+            return answer;
         }
         scanned += w;
     }
     None
 }
 
-/// The SoA twin of [`probe_pairs_volatile`]: scans a dense key array and
-/// returns the *slot index* where the snapshot contains `key` (the caller
-/// volatile-reads the value array itself), or `None` for absent /
-/// exhausted.
+/// Volatile-copy the `buf.len()` slots from `from` (circular) into `buf`
+/// and scan the private copy: `Some(answer)` when it decides the probe,
+/// `None` when the probe continues past the window.
 ///
 /// # Safety
 ///
-/// As [`probe_pairs_volatile`].
-pub(crate) unsafe fn probe_keys_volatile(
-    keys: &[u64],
+/// As [`probe_window_volatile`].
+#[inline(always)]
+unsafe fn scan_window<L: SlotLayout>(
+    layout: &L,
     mask: usize,
-    home: usize,
+    from: usize,
+    buf: &mut [L::Slot],
     key: u64,
     kind: ProbeKind,
-) -> Option<usize> {
-    use crate::simd::scan_keys;
-    let cap = mask + 1;
-    let base = keys.as_ptr();
-    let mut scanned = 0usize;
-    if cap >= FIRST_WINDOW {
-        let mut first = [0u64; FIRST_WINDOW];
-        for (i, b) in first.iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + i) & mask));
-        }
-        match scan_keys(&first, 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some((home + pos) & mask),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
-        }
-        scanned = FIRST_WINDOW;
+) -> Option<Option<u64>> {
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = layout.read_volatile((from + i) & mask);
     }
-    let w = WINDOW.min(cap);
-    let mut buf = [0u64; WINDOW];
-    while scanned < cap {
-        for (i, b) in buf[..w].iter_mut().enumerate() {
-            *b = std::ptr::read_volatile(base.add((home + scanned + i) & mask));
+    // A circular scan of the private copy from 0 is a straight scan: the
+    // copy already starts at the probe position.
+    match L::scan(buf, 0, key, kind).outcome {
+        ScanOutcome::FoundKey(pos) => {
+            Some(Some(layout.value_volatile(&buf[pos], (from + pos) & mask)))
         }
-        match scan_keys(&buf[..w], 0, key, kind).outcome {
-            ScanOutcome::FoundKey(pos) => return Some((home + scanned + pos) & mask),
-            ScanOutcome::FoundEmpty(_) => return None,
-            ScanOutcome::Exhausted => {}
-        }
-        scanned += w;
+        ScanOutcome::FoundEmpty(_) => Some(None),
+        ScanOutcome::Exhausted => None,
     }
-    None
 }
 
 /// A racy, validated-later read view over a hash table — the read side of

@@ -17,338 +17,16 @@
 //! at which the key reached the slot), so no cheap local check can prove a
 //! cluster stays connected. Inserts recycle tombstones as in LP.
 
-use crate::linear_probing::{two_pass_batch, two_pass_insert_batch};
-use crate::simd::{clamp_prefetch_batch, prefetch_read, PREFETCH_BATCH};
-use crate::{
-    check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, Pair, TableError,
-};
-use hashfn::{HashFamily, HashFn64};
+use crate::open_addressing::{Aos, OpenAddressing, Triangular};
 
 /// Quadratic (triangular) probing over an AoS slot array.
-#[derive(Clone)]
-pub struct QuadraticProbing<H: HashFn64> {
-    slots: Box<[Pair]>,
-    bits: u8,
-    mask: usize,
-    hash: H,
-    len: usize,
-    tombstones: usize,
-    pub(crate) prefetch_batch: usize,
-}
-
-impl<H: HashFamily> QuadraticProbing<H> {
-    /// Create a table with `2^bits` slots and a hash function drawn from
-    /// seed `seed`.
-    pub fn with_seed(bits: u8, seed: u64) -> Self {
-        Self::with_hash(bits, H::from_seed(seed))
-    }
-}
-
-impl<H: HashFn64> QuadraticProbing<H> {
-    /// Create a table with `2^bits` slots using an explicit hash function.
-    pub fn with_hash(bits: u8, hash: H) -> Self {
-        let cap = check_capacity_bits(bits);
-        Self {
-            slots: vec![Pair::empty(); cap].into_boxed_slice(),
-            bits,
-            mask: cap - 1,
-            hash,
-            len: 0,
-            tombstones: 0,
-            prefetch_batch: PREFETCH_BATCH,
-        }
-    }
-
-    /// Set the hash-and-prefetch window of the batch operations (clamped
-    /// to `1..=`[`crate::simd::MAX_PREFETCH_BATCH`]; default
-    /// [`PREFETCH_BATCH`]).
-    pub fn set_prefetch_batch(&mut self, window: usize) {
-        self.prefetch_batch = clamp_prefetch_batch(window);
-    }
-
-    /// The batch prefetch window in use.
-    pub fn prefetch_batch(&self) -> usize {
-        self.prefetch_batch
-    }
-
-    /// The hash function in use.
-    #[inline]
-    pub fn hash_fn(&self) -> &H {
-        &self.hash
-    }
-
-    #[inline(always)]
-    fn home(&self, key: u64) -> usize {
-        home_slot(&self.hash, key, self.bits)
-    }
-
-    /// Number of tombstone slots currently in the table.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
-    }
-
-    /// Direct slot access for statistics and tests.
-    pub fn raw_slots(&self) -> &[Pair] {
-        &self.slots
-    }
-
-    /// Rebuild the table in place (same capacity, same hash function),
-    /// dropping all tombstones. Since QP deletions always tombstone, this
-    /// is the remedy after heavy deletion (cf. §2.2).
-    ///
-    /// Literally in place: live entries are snapshotted, the *existing*
-    /// slot array is cleared and refilled, so the allocation never moves
-    /// — the in-bounds guarantee optimistic readers need (see
-    /// [`crate::optimistic`]).
-    pub fn rehash_in_place(&mut self) {
-        let live: Vec<Pair> = self.slots.iter().filter(|p| p.is_occupied()).copied().collect();
-        self.slots.fill(Pair::empty());
-        self.len = 0;
-        self.tombstones = 0;
-        for p in live {
-            let _ = self.insert(p.key, p.value);
-        }
-    }
-
-    /// Blocked-insert remedy shared with LP: tombstones are reclaimable
-    /// capacity, so rehash them away and retry (at most once — the
-    /// rebuilt table is tombstone-free) before reporting a full table.
-    fn reclaim_or_full(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if self.tombstones == 0 {
-            return Err(TableError::TableFull);
-        }
-        self.rehash_in_place();
-        self.insert(key, value)
-    }
-
-    /// Probe for `key` along the triangular sequence from its home slot
-    /// `home`: `Ok(slot)` if found, `Err(insert_slot)` otherwise (first
-    /// tombstone if any, else the terminating empty slot; `usize::MAX` if
-    /// the full sequence found neither the key nor an empty slot nor a
-    /// tombstone).
-    #[inline]
-    fn probe_from(&self, home: usize, key: u64) -> Result<usize, usize> {
-        let mut pos = home;
-        let mut first_tombstone = usize::MAX;
-        for i in 1..=(self.mask as u64 + 1) {
-            let slot = &self.slots[pos];
-            if slot.key == key {
-                return Ok(pos);
-            }
-            if slot.is_empty() {
-                return Err(if first_tombstone != usize::MAX { first_tombstone } else { pos });
-            }
-            if slot.is_tombstone() && first_tombstone == usize::MAX {
-                first_tombstone = pos;
-            }
-            // Triangular step: offsets 1, 2, 3, … give positions
-            // h + 1, h + 3, h + 6, … = h + i(i+1)/2.
-            pos = (pos + i as usize) & self.mask;
-        }
-        Err(first_tombstone)
-    }
-
-    /// [`HashTable::insert`] body with a precomputed `home` slot; `key`
-    /// must not be reserved.
-    fn insert_from(
-        &mut self,
-        home: usize,
-        key: u64,
-        value: u64,
-    ) -> Result<InsertOutcome, TableError> {
-        match self.probe_from(home, key) {
-            Ok(pos) => {
-                let old = std::mem::replace(&mut self.slots[pos].value, value);
-                Ok(InsertOutcome::Replaced(old))
-            }
-            Err(usize::MAX) => self.reclaim_or_full(key, value),
-            Err(pos) => {
-                if self.slots[pos].is_tombstone() {
-                    self.tombstones -= 1;
-                } else if self.len + self.tombstones >= self.mask {
-                    // Keep one empty slot as the probe terminator; but
-                    // tombstones are reclaimable capacity, so rehash them
-                    // away and retry before declaring the table full.
-                    return self.reclaim_or_full(key, value);
-                }
-                self.slots[pos] = Pair { key, value };
-                self.len += 1;
-                Ok(InsertOutcome::Inserted)
-            }
-        }
-    }
-
-    /// [`HashTable::lookup`] body with a precomputed `home` slot.
-    #[inline]
-    fn lookup_from(&self, home: usize, key: u64) -> Option<u64> {
-        let mut pos = home;
-        let mut i = 1u64;
-        loop {
-            let slot = &self.slots[pos];
-            if slot.key == key {
-                return Some(slot.value);
-            }
-            if slot.is_empty() {
-                return None;
-            }
-            pos = (pos + i as usize) & self.mask;
-            i += 1;
-        }
-    }
-
-    /// [`HashTable::delete`] body with a precomputed `home` slot.
-    fn delete_from(&mut self, home: usize, key: u64) -> Option<u64> {
-        let pos = self.probe_from(home, key).ok()?;
-        let value = self.slots[pos].value;
-        // Unlike LP, a tombstone is always required: other keys reach this
-        // slot at different probe iterations and continue to different
-        // successors, so no local check can prove the slot is the tail of
-        // every chain crossing it.
-        self.slots[pos] = Pair::tombstone();
-        self.tombstones += 1;
-        self.len -= 1;
-        Some(value)
-    }
-}
-
-impl<H: HashFn64> HashTable for QuadraticProbing<H> {
-    fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
-        if is_reserved_key(key) {
-            return Err(TableError::ReservedKey);
-        }
-        self.insert_from(self.home(key), key, value)
-    }
-
-    fn lookup_probed(&self, key: u64) -> (Option<u64>, usize) {
-        if is_reserved_key(key) {
-            return (None, 1);
-        }
-        // Triangular walk counting slots examined.
-        let mut pos = self.home(key);
-        let mut i = 1u64;
-        loop {
-            let slot = &self.slots[pos];
-            if slot.key == key {
-                return (Some(slot.value), i as usize);
-            }
-            if slot.is_empty() {
-                return (None, i as usize);
-            }
-            pos = (pos + i as usize) & self.mask;
-            i += 1;
-        }
-    }
-
-    #[inline]
-    fn lookup(&self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.lookup_from(self.home(key), key)
-    }
-
-    fn delete(&mut self, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.delete_from(self.home(key), key)
-    }
-
-    fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &Self, h, k| if is_reserved_key(k) { None } else { t.lookup_from(h, k) }
-        );
-    }
-
-    fn insert_batch(
-        &mut self,
-        items: &[(u64, u64)],
-        out: &mut [Result<InsertOutcome, TableError>],
-    ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k, v| t.insert_from(h, k, v)
-        );
-    }
-
-    fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k| if is_reserved_key(k) { None } else { t.delete_from(h, k) }
-        );
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn capacity(&self) -> usize {
-        self.mask + 1
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Pair>()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(u64, u64)) {
-        for p in self.slots.iter().filter(|p| p.is_occupied()) {
-            f(p.key, p.value);
-        }
-    }
-
-    fn display_name(&self) -> String {
-        format!("QP{}", H::name())
-    }
-}
-
-/// The slot array never moves after construction (`rehash_in_place`
-/// rebuilds inside the existing allocation). The optimistic probe walks
-/// the triangular sequence with volatile slot reads, bounded by the
-/// capacity — unlike `lookup_from`'s unguarded loop, it must not rely on
-/// the "an empty slot exists" invariant, which a racing writer can
-/// transiently break.
-impl<H: HashFn64> crate::optimistic::ReadView for QuadraticProbing<H> {
-    fn supports_optimistic(&self) -> bool {
-        true
-    }
-
-    unsafe fn lookup_optimistic(&self, key: u64) -> Option<Option<u64>> {
-        if is_reserved_key(key) {
-            return Some(None);
-        }
-        let base = self.slots.as_ptr();
-        let mut pos = self.home(key);
-        for i in 1..=(self.mask as u64 + 1) {
-            let slot = std::ptr::read_volatile(base.add(pos));
-            if slot.key == key {
-                return Some(Some(slot.value));
-            }
-            if slot.is_empty() {
-                return Some(None);
-            }
-            pos = (pos + i as usize) & self.mask;
-        }
-        Some(None)
-    }
-}
+pub type QuadraticProbing<H> = OpenAddressing<Aos, Triangular, H>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests_common::*;
+    use crate::{HashTable, InsertOutcome, TableError};
     use hashfn::{MultShift, Murmur};
 
     fn table(bits: u8) -> QuadraticProbing<Murmur> {

@@ -17,7 +17,7 @@
 //! (partial cluster rehash): tombstones are unusable here because they
 //! carry no displacement information.
 
-use crate::linear_probing::{two_pass_batch, two_pass_insert_batch};
+use crate::open_addressing::{two_pass, Aos, SlotLayout, TwoPass};
 use crate::simd::{clamp_prefetch_batch, prefetch_read, PREFETCH_BATCH};
 use crate::{
     check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, Pair, TableError,
@@ -52,7 +52,7 @@ pub enum RhLookupMode {
 /// Robin Hood hashing over an AoS slot array.
 #[derive(Clone)]
 pub struct RobinHood<H: HashFn64> {
-    slots: Box<[Pair]>,
+    slots: Aos,
     bits: u8,
     mask: usize,
     hash: H,
@@ -63,7 +63,7 @@ pub struct RobinHood<H: HashFn64> {
     /// impractical, §2.4). Backs [`RhLookupMode::DmaxBound`].
     dmax: usize,
     lookup_mode: RhLookupMode,
-    pub(crate) prefetch_batch: usize,
+    prefetch_batch: usize,
 }
 
 impl<H: HashFamily> RobinHood<H> {
@@ -79,7 +79,7 @@ impl<H: HashFn64> RobinHood<H> {
     pub fn with_hash(bits: u8, hash: H) -> Self {
         let cap = check_capacity_bits(bits);
         Self {
-            slots: vec![Pair::empty(); cap].into_boxed_slice(),
+            slots: Aos::with_capacity(cap),
             bits,
             mask: cap - 1,
             hash,
@@ -284,6 +284,19 @@ impl<H: HashFn64> RobinHood<H> {
     }
 }
 
+impl<H: HashFn64> TwoPass for RobinHood<H> {
+    fn window(&self) -> usize {
+        self.prefetch_batch
+    }
+
+    #[inline(always)]
+    fn prefetch_home(&self, key: u64) -> usize {
+        let home = self.home(key);
+        prefetch_read(&self.slots[home] as *const Pair);
+        home
+    }
+}
+
 impl<H: HashFn64> HashTable for RobinHood<H> {
     fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
         if is_reserved_key(key) {
@@ -332,14 +345,7 @@ impl<H: HashFn64> HashTable for RobinHood<H> {
     }
 
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &Self, h, k| if is_reserved_key(k) { None } else { t.lookup_from(h, k) }
-        );
+        two_pass(self, keys, out, None, |t, h, k| t.lookup_from(h, k));
     }
 
     fn insert_batch(
@@ -347,25 +353,12 @@ impl<H: HashFn64> HashTable for RobinHood<H> {
         items: &[(u64, u64)],
         out: &mut [Result<InsertOutcome, TableError>],
     ) {
-        two_pass_insert_batch!(
-            self,
-            items,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k, v| t.insert_from(h, k, v)
-        );
+        let reserved = Err(TableError::ReservedKey);
+        two_pass(self, items, out, reserved, |t, h, (k, v)| t.insert_from(h, k, v));
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
-        two_pass_batch!(
-            self,
-            keys,
-            out,
-            |t: &Self, k| t.home(k),
-            |t: &Self, h: usize| &t.slots[h] as *const Pair,
-            |t: &mut Self, h, k| if is_reserved_key(k) { None } else { t.delete_from(h, k) }
-        );
+        two_pass(self, keys, out, None, |t, h, k| t.delete_from(h, k));
     }
 
     fn len(&self) -> usize {
@@ -407,7 +400,7 @@ impl<H: HashFn64> crate::optimistic::ReadView for RobinHood<H> {
         if is_reserved_key(key) {
             return Some(None);
         }
-        Some(crate::optimistic::probe_pairs_volatile(
+        Some(crate::optimistic::probe_window_volatile(
             &self.slots,
             self.mask,
             self.home(key),

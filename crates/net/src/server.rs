@@ -973,7 +973,7 @@ mod tests {
     #[test]
     fn drain_of_a_stalled_reader_blocks_in_epoll_instead_of_spinning() {
         use crate::protocol::{encode_request, Request};
-        use crate::sys::set_recv_buffer;
+        use crate::sys::connect_with_recv_buffer;
         use std::io::Write as _;
 
         let handle = KvServer::builder()
@@ -985,9 +985,9 @@ mod tests {
         // A peer with a deliberately tiny receive window pipelines far
         // more GETs than the kernel buffers hold and never reads a
         // byte: the server answers until `WBUF_HIGH` backpressure parks
-        // the connection on EPOLLOUT with responses still pending.
-        let stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
-        set_recv_buffer(stream.as_raw_fd(), 4096).expect("SO_RCVBUF");
+        // the connection on EPOLLOUT with responses still pending. The
+        // window is set before `connect`, so the handshake advertises it.
+        let stream = connect_with_recv_buffer(handle.addr(), 4096).expect("connect");
         stream.set_nonblocking(true).expect("nonblocking");
         let mut frame = Vec::new();
         encode_request(1, &Request::Get(42), &mut frame);
@@ -995,21 +995,31 @@ mod tests {
         // past anything sndbuf autotuning can swallow, so backpressure
         // *must* engage and leave responses pending at shutdown.
         let flood: Vec<u8> = frame.iter().copied().cycle().take(frame.len() * 200_000).collect();
-        let (mut sent, mut stalls) = (0, 0);
-        while sent < flood.len() && stalls < 40 {
-            match (&stream).write(&flood[sent..]) {
-                Ok(n) => sent += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // The server stopped reading — backpressure engaged,
-                    // which is exactly the state the test wants.
-                    stalls += 1;
-                    std::thread::sleep(Duration::from_millis(10));
+        // Flood until the server is observably parked: it has stopped
+        // answering although requests it has not answered were sent. A
+        // worker that is merely slow keeps advancing its frame counter;
+        // a parked one never does again, because this peer never reads.
+        let mut sent = 0;
+        let (mut answered, mut idle_polls) = (u64::MAX, 0);
+        let give_up = Instant::now() + Duration::from_secs(60);
+        while idle_polls < 20 {
+            assert!(Instant::now() < give_up, "server never parked: {answered} frames answered");
+            if sent < flood.len() {
+                match (&stream).write(&flood[sent..]) {
+                    Ok(n) => {
+                        sent += n;
+                        continue;
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("flood write: {e}"),
                 }
-                Err(e) => panic!("flood write: {e}"),
             }
+            let frames = handle.stats().frames;
+            let unanswered = (sent / frame.len()) as u64 > frames;
+            idle_polls = if unanswered && frames == answered { idle_polls + 1 } else { 0 };
+            answered = frames;
+            std::thread::sleep(Duration::from_millis(10));
         }
-        // Let the worker finish answering and park before draining.
-        std::thread::sleep(Duration::from_millis(150));
         let started = Instant::now();
         let stats = handle.shutdown().expect("shutdown");
         let waited = started.elapsed();

@@ -109,6 +109,8 @@ extern "C" {
     fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const u8, len: u32) -> c_int;
     fn bind(fd: c_int, addr: *const u8, addrlen: u32) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
+    #[cfg(test)]
+    fn connect(fd: c_int, addr: *const u8, addrlen: u32) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -227,22 +229,11 @@ impl WakePipe {
     }
 }
 
-/// Bind a non-blocking, `SO_REUSEPORT` TCP listener on `addr`.
-///
-/// `SO_REUSEPORT` must be set between `socket(2)` and `bind(2)`, which
-/// `std::net::TcpListener::bind` cannot express — hence the raw path.
-/// Every listener bound this way to the same address joins a kernel
-/// accept group: incoming connections are distributed across the group
-/// by flow hash, which is exactly the thread-per-core accept story (one
-/// listener per worker, no shared accept lock, no handoff).
-///
-/// Pass port 0 on the first listener to let the OS pick; read the
-/// assigned port back with `TcpListener::local_addr` and bind the
-/// remaining workers to that concrete port.
-pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
-    // Encode the sockaddr by hand (no libc): family + port are common,
-    // then the v4/v6-specific layout. All fields except the native-endian
-    // family are big-endian per the sockaddr ABI.
+/// Encode `addr` as a raw `sockaddr_in`/`sockaddr_in6` (no libc):
+/// returns the bytes, the address family and the sockaddr length. Family
+/// and port are common, then the v4/v6-specific layout. All fields except
+/// the native-endian family are big-endian per the sockaddr ABI.
+fn encode_sockaddr(addr: SocketAddr) -> ([u8; 28], c_int, u32) {
     let mut sa = [0u8; 28];
     let (family, sa_len) = match addr {
         SocketAddr::V4(v4) => {
@@ -263,6 +254,23 @@ pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
             (AF_INET6, 28u32)
         }
     };
+    (sa, family, sa_len)
+}
+
+/// Bind a non-blocking, `SO_REUSEPORT` TCP listener on `addr`.
+///
+/// `SO_REUSEPORT` must be set between `socket(2)` and `bind(2)`, which
+/// `std::net::TcpListener::bind` cannot express — hence the raw path.
+/// Every listener bound this way to the same address joins a kernel
+/// accept group: incoming connections are distributed across the group
+/// by flow hash, which is exactly the thread-per-core accept story (one
+/// listener per worker, no shared accept lock, no handoff).
+///
+/// Pass port 0 on the first listener to let the OS pick; read the
+/// assigned port back with `TcpListener::local_addr` and bind the
+/// remaining workers to that concrete port.
+pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
+    let (sa, family, sa_len) = encode_sockaddr(addr);
     // SAFETY: plain syscall; a valid return is a live fd we then own.
     let fd = cvt(unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
     // SAFETY: `fd` is a freshly created fd owned by no one else.
@@ -286,26 +294,39 @@ pub fn reuseport_listener(addr: SocketAddr) -> io::Result<TcpListener> {
     Ok(TcpListener::from(fd))
 }
 
-/// Shrink (or grow) a socket's kernel receive buffer via `SO_RCVBUF`.
+/// Connect a blocking TCP stream to `addr` with its kernel receive
+/// buffer set to `bytes` via `SO_RCVBUF` *before* the handshake.
 ///
 /// Used by tests that need a peer with a tiny receive window — the only
 /// portable way to force the server's writes to park on `EPOLLOUT` with
-/// bytes still pending. The kernel doubles the value internally and
-/// clamps it to `rmem` limits; the exact effective size doesn't matter
-/// to callers, only that it is small.
+/// bytes still pending. Setting the buffer after `connect` is too late:
+/// the window scale is fixed by the SYN, and receive-buffer autotuning
+/// may already have grown the buffer to megabytes. The kernel doubles the
+/// value internally and clamps it to `rmem` limits; the exact effective
+/// size doesn't matter to callers, only that it is small.
 #[cfg(test)]
-pub(crate) fn set_recv_buffer(fd: RawFd, bytes: c_int) -> io::Result<()> {
+pub(crate) fn connect_with_recv_buffer(
+    addr: SocketAddr,
+    bytes: c_int,
+) -> io::Result<std::net::TcpStream> {
+    let (sa, family, sa_len) = encode_sockaddr(addr);
+    // SAFETY: plain syscall; a valid return is a live fd we then own.
+    let fd = cvt(unsafe { socket(family, SOCK_STREAM | SOCK_CLOEXEC, 0) })?;
+    // SAFETY: `fd` is a freshly created fd owned by no one else.
+    let fd = unsafe { OwnedFd::from_raw_fd(fd) };
     // SAFETY: `bytes` is a live 4-byte value for the duration of the call.
     cvt(unsafe {
         setsockopt(
-            fd,
+            fd.as_raw_fd(),
             SOL_SOCKET,
             SO_RCVBUF,
             &bytes as *const c_int as *const u8,
             std::mem::size_of::<c_int>() as u32,
         )
     })?;
-    Ok(())
+    // SAFETY: `sa` holds a valid sockaddr of `sa_len` bytes.
+    cvt(unsafe { connect(fd.as_raw_fd(), sa.as_ptr(), sa_len) })?;
+    Ok(std::net::TcpStream::from(fd))
 }
 
 #[cfg(test)]

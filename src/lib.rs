@@ -89,7 +89,6 @@
 //! |---|---|
 //! | `LinearProbing::<MultShift>::with_seed(bits, seed)` | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).build()` |
 //! | `LinearProbingSoA::with_seed_simd(bits, seed)` | `TableBuilder::new(TableScheme::LinearProbingSoA).simd(true)…` |
-//! | `DynamicTable::new(LpFactory::new(), bits, seed, 0.7)` | `TableBuilder::new(TableScheme::LinearProbing).bits(bits).seed(seed).grow_at(0.7).build()` |
 //! | `ChainedTable24::with_budget(bits, n, seed)` | `TableBuilder::new(TableScheme::Chained24).chained_budget(n)….try_build()` |
 //! | `PointIndex::for_profile(&p, bits, seed)` | unchanged, or `TableBuilder::for_profile(&p, bits, seed).build()` |
 //! | `PointIndex::{get, remove}` | `HashTable::{lookup, delete}` (the deprecated aliases were removed in PR 4) |

@@ -117,31 +117,46 @@ fn dynamic_tables_conform_while_growing() {
     // Start tiny so the test exercises many growth generations.
     let keys = Distribution::Sparse.generate(600, 5);
     conformance(
-        DynamicTable::new(sevendim_core::LpFactory::<MultShift>::new(), 4, 1, 0.7),
+        DynamicTable::new(TableBuilder::new(TableScheme::LinearProbing), 4, 1, 0.7),
         &keys,
         OPS,
         42,
     );
     conformance(
-        DynamicTable::new(sevendim_core::QpFactory::<Murmur>::new(), 4, 2, 0.5),
+        DynamicTable::new(
+            TableBuilder::new(TableScheme::Quadratic).hash(HashKind::Murmur),
+            4,
+            2,
+            0.5,
+        ),
         &keys,
         OPS,
         43,
     );
     conformance(
-        DynamicTable::new(sevendim_core::RhFactory::<Murmur>::new(), 4, 3, 0.7),
+        DynamicTable::new(
+            TableBuilder::new(TableScheme::RobinHood).hash(HashKind::Murmur),
+            4,
+            3,
+            0.7,
+        ),
         &keys,
         OPS,
         44,
     );
     conformance(
-        DynamicTable::new(sevendim_core::CuckooFactory::<Murmur, 4>::new(), 4, 4, 0.65),
+        DynamicTable::new(
+            TableBuilder::new(TableScheme::Cuckoo4).hash(HashKind::Murmur),
+            4,
+            4,
+            0.65,
+        ),
         &keys,
         OPS,
         45,
     );
     conformance(
-        DynamicTable::new(sevendim_core::Chained24Factory::<MultShift>::new(), 4, 5, 0.7),
+        DynamicTable::new(TableBuilder::new(TableScheme::Chained24), 4, 5, 0.7),
         &keys,
         OPS,
         46,
@@ -150,7 +165,12 @@ fn dynamic_tables_conform_while_growing() {
 
 #[test]
 fn dynamic_table_capacity_is_unbounded_by_initial_size() {
-    let mut t = DynamicTable::new(sevendim_core::LpFactory::<Murmur>::new(), 4, 9, 0.9);
+    let mut t = DynamicTable::new(
+        TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+        4,
+        9,
+        0.9,
+    );
     for k in 1..=50_000u64 {
         t.insert(k, k).unwrap();
     }
