@@ -607,17 +607,31 @@ impl<F: TableFactory> DynamicTable<F> {
     /// growing *more* on a budget failure would loop forever while
     /// allocating more memory.
     fn rebuild(&mut self, start_bits: u8, start_attempt: u64) -> Result<(), TableError> {
-        let entries = {
-            let mut v = Vec::with_capacity(self.total_len());
-            self.for_each(&mut |k, val| v.push((k, val)));
-            v
-        };
+        let entries = self.entries();
+        self.rebuild_from(&entries, start_bits, start_attempt)
+    }
+
+    /// Every live entry of both generations, in iteration order.
+    fn entries(&self) -> Vec<(u64, u64)> {
+        let mut v = Vec::with_capacity(self.total_len());
+        self.for_each(&mut |k, val| v.push((k, val)));
+        v
+    }
+
+    /// [`DynamicTable::rebuild`] from an explicit entry list, inserted in
+    /// its order.
+    fn rebuild_from(
+        &mut self,
+        entries: &[(u64, u64)],
+        start_bits: u8,
+        start_attempt: u64,
+    ) -> Result<(), TableError> {
         let mut bits = start_bits;
         let mut attempt = start_attempt;
         'outer: loop {
             assert!(bits <= MAX_BITS, "dynamic table exceeded 2^{MAX_BITS} slots");
             let mut bigger = self.factory.build(bits, self.generation_seed(bits, attempt));
-            for &(k, v) in &entries {
+            for &(k, v) in entries {
                 match bigger.insert(k, v) {
                     Ok(_) => {}
                     Err(e @ TableError::MemoryBudgetExceeded) => return Err(e),
@@ -648,7 +662,160 @@ impl<F: TableFactory> DynamicTable<F> {
             GrowthPolicy::Incremental { step } => step,
         }
     }
+
+    /// Whether `key` is live in either generation. Unlike
+    /// [`HashTable::lookup`] it records nothing: the growth check's probe
+    /// is part of a write and must not count as a lookup (or a miss) in
+    /// the [`TableStats`] the adaptive controller reads.
+    fn contains(&self, key: u64) -> bool {
+        self.inner.lookup(key).is_some()
+            || self.old.as_ref().is_some_and(|g| g.table.lookup(key).is_some())
+    }
+
+    /// New keys the table can take before the next one would cross the
+    /// growth threshold.
+    fn headroom(&self) -> usize {
+        let limit =
+            (self.threshold_fp as u128 * self.inner.capacity() as u128) >> THRESHOLD_FP_BITS;
+        (limit as usize).saturating_sub(self.total_len())
+    }
+
+    /// Whether a batch can bypass the per-key policy hook: no drain in
+    /// flight, no switch pending, and a policy whose hook does nothing.
+    fn batch_can_skip_policy(&self) -> bool {
+        self.old.is_none()
+            && self.pending_switch.is_none()
+            && matches!(self.migration, MigrationPolicy::Grow)
+    }
+
+    /// Length of the longest prefix of `items` that cannot cross the
+    /// growth trigger even if every key in it is new — so no element of
+    /// it would grow the table. Near the trigger, one stats-free probe of
+    /// up to [`TRIGGER_WINDOW`] keys finds the new ones, and the prefix
+    /// ends just before the new key that would cross (0 when that is the
+    /// first item). A key absent from the table that repeats in the
+    /// window counts as new each time, which can only cut early.
+    fn growth_free_prefix(&self, items: &[(u64, u64)]) -> usize {
+        let room = self.headroom();
+        if items.len() <= room || room >= TRIGGER_WINDOW {
+            return items.len().min(room);
+        }
+        let window = &items[..items.len().min(TRIGGER_WINDOW)];
+        let mut keys = [0u64; TRIGGER_WINDOW];
+        let mut found = [None; TRIGGER_WINDOW];
+        for (k, &(key, _)) in keys.iter_mut().zip(window) {
+            *k = key;
+        }
+        self.inner.lookup_batch(&keys[..window.len()], &mut found[..window.len()]);
+        let mut new_keys = 0;
+        for (i, (&(key, _), hit)) in window.iter().zip(&found).enumerate() {
+            if hit.is_none() && !is_reserved_key(key) {
+                if new_keys == room {
+                    return i;
+                }
+                new_keys += 1;
+            }
+        }
+        window.len()
+    }
+
+    /// Insert a run that cannot grow the table (see
+    /// [`DynamicTable::growth_free_prefix`]) through the current
+    /// generation's batch path, with one stats update for the run.
+    ///
+    /// A below-threshold capacity failure (a cuckoo cycle) at element `j`
+    /// would, element by element, rebuild the table before `j + 1` runs;
+    /// in the batch the later elements already ran. So they are undone
+    /// in reverse (which restores the contents `j` saw, duplicate keys
+    /// included), the table is rebuilt as [`HashTable::insert`] rebuilds
+    /// it at `j`, and `j..` is replayed element by element.
+    fn insert_run(&mut self, items: &[(u64, u64)], out: &mut [Result<InsertOutcome, TableError>]) {
+        let reserved = items.iter().filter(|&&(k, _)| is_reserved_key(k)).count();
+        self.stats.record_inserts((items.len() - reserved) as u64);
+        self.inner.insert_batch(items, out);
+        let Some(first) = out
+            .iter()
+            .position(|o| matches!(o, Err(TableError::TableFull | TableError::CuckooFailure)))
+        else {
+            return;
+        };
+        for (o, &(k, _)) in out[first + 1..].iter().zip(&items[first + 1..]).rev() {
+            match *o {
+                Ok(InsertOutcome::Inserted) => {
+                    self.inner.delete(k);
+                }
+                Ok(InsertOutcome::Replaced(prev)) => {
+                    let _ = self.inner.insert(k, prev);
+                }
+                Err(_) => {}
+            }
+        }
+        let replay = match self.rebuild_on_pressure() {
+            Ok(()) => first,
+            Err(e) => {
+                out[first] = Err(e);
+                first + 1
+            }
+        };
+        for (o, &(k, v)) in out[replay..].iter_mut().zip(&items[replay..]) {
+            *o = self.insert_current(k, v);
+        }
+    }
+
+    /// Rebuild into a doubled table after an insert failed below the
+    /// threshold. Entries go in key order, so the rebuilt table depends on
+    /// the contents alone, not on the layout that failed: the batch path
+    /// gets here with the same contents as the single-key path but, having
+    /// undone part of a batch, another layout.
+    fn rebuild_on_pressure(&mut self) -> Result<(), TableError> {
+        let mut entries = self.entries();
+        entries.sort_unstable();
+        self.rebuild_from(&entries, self.bits + 1, 0)
+    }
+
+    /// The part of [`HashTable::insert`] after the growth check.
+    ///
+    /// Inserts into the current generation *first*: if it fails, the
+    /// table is untouched (claiming the key from the draining generation
+    /// before a fallible insert would lose the entry on the error path).
+    /// Only on success is any old-generation copy of the key claimed,
+    /// restoring generation disjointness and supplying the replaced
+    /// value.
+    fn insert_current(&mut self, key: u64, value: u64) -> Result<InsertOutcome, TableError> {
+        let outcome = loop {
+            match self.inner.insert(key, value) {
+                Ok(outcome) => break outcome,
+                Err(TableError::TableFull) | Err(TableError::CuckooFailure) => {
+                    // Capacity pressure the threshold missed (e.g. cuckoo
+                    // cycles below threshold): rebuild and retry. The
+                    // rebuild merges any draining generation, so a retried
+                    // insert reports replacements naturally.
+                    self.rebuild_on_pressure()?;
+                }
+                // A reserved key is refused as it is; a memory budget that
+                // refuses the insert must reach the caller — growing on
+                // it would allocate more while already over budget.
+                Err(e) => return Err(e),
+            }
+        };
+        let prev_old = self.old.as_mut().and_then(|g| g.table.delete(key));
+        Ok(match prev_old {
+            Some(prev) => {
+                debug_assert_eq!(
+                    outcome,
+                    InsertOutcome::Inserted,
+                    "key was in both generations at once"
+                );
+                InsertOutcome::Replaced(prev)
+            }
+            None => outcome,
+        })
+    }
 }
+
+/// Keys [`DynamicTable::growth_free_prefix`] classifies per probe when a
+/// batch reaches the growth trigger.
+const TRIGGER_WINDOW: usize = 256;
 
 /// Lock-free reads over both generations, gated on generation retention.
 ///
@@ -731,48 +898,15 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         if self.old.is_some() {
             self.migrate_step(self.step_budget())?;
         }
-        // Grow *before* the threshold is crossed. Lookups of existing keys
-        // (replacements) never trigger growth, matching the paper's
+        // Grow *before* the threshold is crossed. Replacements of existing
+        // keys never trigger growth, matching the paper's
         // element-count-based rehash policy.
         if crosses_threshold(self.threshold_fp, self.total_len() + 1, self.inner.capacity())
-            && self.lookup(key).is_none()
+            && !self.contains(key)
         {
             self.grow()?;
         }
-        // Insert into the current generation *first*: if it fails, the
-        // table is untouched (claiming the key from the draining
-        // generation before a fallible insert would lose the entry on the
-        // error path). Only on success is any old-generation copy of the
-        // key claimed, restoring generation disjointness and supplying
-        // the replaced value.
-        let outcome = loop {
-            match self.inner.insert(key, value) {
-                Ok(outcome) => break outcome,
-                Err(TableError::TableFull) | Err(TableError::CuckooFailure) => {
-                    // Capacity pressure the threshold missed (e.g. cuckoo
-                    // cycles below threshold): rebuild and retry. The
-                    // rebuild merges any draining generation, so a retried
-                    // insert reports replacements naturally.
-                    self.rebuild(self.bits + 1, 0)?;
-                }
-                // A reserved key was rejected above; a memory budget that
-                // refuses the insert must reach the caller — growing on
-                // it would allocate more while already over budget.
-                Err(e) => return Err(e),
-            }
-        };
-        let prev_old = self.old.as_mut().and_then(|g| g.table.delete(key));
-        Ok(match prev_old {
-            Some(prev) => {
-                debug_assert_eq!(
-                    outcome,
-                    InsertOutcome::Inserted,
-                    "key was in both generations at once"
-                );
-                InsertOutcome::Replaced(prev)
-            }
-            None => outcome,
-        })
+        self.insert_current(key, value)
     }
 
     fn lookup(&self, key: u64) -> Option<u64> {
@@ -809,10 +943,8 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
     // straight to the inner table's (prefetching) overrides whenever no
     // migration is in flight; mid-migration they run the two-pass on the
     // new generation and re-probe only the misses against the old one.
-    // `insert_batch` deliberately keeps the element-by-element default:
-    // each insert must re-check the growth threshold (and pay its own
-    // drain step), and a mid-batch doubling invalidates any precomputed
-    // home slots.
+    // Inserts delegate in runs that cannot reach the growth trigger (see
+    // `insert_batch`).
     fn lookup_batch(&self, keys: &[u64], out: &mut [Option<u64>]) {
         // Stats cost per *batch*, not per key: one sampled probe when the
         // batch straddles a sampling point, plus two fetch_adds at the
@@ -839,6 +971,42 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         }
         let misses = out.iter().filter(|o| o.is_none()).count() as u64;
         self.stats.record_lookups(keys.len() as u64, misses);
+    }
+
+    /// Element-wise identical to [`HashTable::insert`] in order — the
+    /// outcomes, the growth points, [`DynamicTable::rehash_count`], the
+    /// capacity and [`HashTable::table_stats`] all match. While the
+    /// per-key policy hook has nothing to do, the batch is split into
+    /// the longest runs that cannot cross the growth trigger, and each
+    /// run takes the inner table's prefetching `insert_batch` with one
+    /// stats update. The new key that would cross takes the single-key
+    /// path, which grows first. Mid-migration, with a switch pending or
+    /// under the adaptive controller, every key takes the single-key
+    /// path (each pays its own drain step and policy tick).
+    fn insert_batch(
+        &mut self,
+        items: &[(u64, u64)],
+        out: &mut [Result<InsertOutcome, TableError>],
+    ) {
+        assert_eq!(items.len(), out.len(), "insert_batch: items and out lengths differ");
+        let mut start = 0;
+        while start < items.len() {
+            if !self.batch_can_skip_policy() {
+                for (o, &(k, v)) in out[start..].iter_mut().zip(&items[start..]) {
+                    *o = self.insert(k, v);
+                }
+                return;
+            }
+            let run = self.growth_free_prefix(&items[start..]);
+            if run == 0 {
+                let (k, v) = items[start];
+                out[start] = self.insert(k, v);
+                start += 1;
+            } else {
+                self.insert_run(&items[start..start + run], &mut out[start..start + run]);
+                start += run;
+            }
+        }
     }
 
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
@@ -1730,5 +1898,72 @@ mod tests {
         assert!(s.probe_samples > 0, "the sampled probe path must have fired");
         assert!(s.mean_probe_len() >= 1.0);
         assert_eq!(s.rehashes, 0);
+    }
+
+    #[test]
+    fn pressure_rebuild_layout_depends_on_contents_alone() {
+        // The batch path undoes part of a batch before this rebuild, which
+        // restores the contents but not the layout. Whether later cuckoo
+        // inserts fail depends on the layout, so the rebuilt table must be
+        // the one the single-key path would build.
+        let build = || {
+            DynamicTable::new(
+                TableBuilder::new(TableScheme::Cuckoo4).hash(HashKind::Murmur),
+                8,
+                3,
+                0.9,
+            )
+        };
+        let (mut a, mut b) = (build(), build());
+        let keys: Vec<u64> = (1..=150u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        for &k in &keys {
+            a.insert(k, k).unwrap();
+        }
+        for &k in keys.iter().rev() {
+            b.insert(k, k).unwrap();
+        }
+        let layout = |t: &DynamicTable<TableBuilder>| {
+            let mut v = Vec::new();
+            t.for_each(&mut |k, _| v.push(k));
+            v
+        };
+        assert_ne!(layout(&a), layout(&b), "the insert orders must leave different layouts");
+        a.rebuild_on_pressure().unwrap();
+        b.rebuild_on_pressure().unwrap();
+        assert_eq!((a.capacity(), a.rehash_count()), (512, 1));
+        assert_eq!(layout(&a), layout(&b));
+    }
+
+    #[test]
+    fn writes_at_the_trigger_record_no_lookups() {
+        // 128 keys fill 256 slots to exactly the 50% trigger, so every
+        // later insert runs the growth check's "is this key new?" probe.
+        // That probe is part of the write: it must not count as a lookup,
+        // a miss or a probe sample, single-key or batched.
+        for batched in [false, true] {
+            let mut t = DynamicTable::new(
+                TableBuilder::new(TableScheme::LinearProbing).hash(HashKind::Murmur),
+                8,
+                1,
+                0.5,
+            );
+            let fill: Vec<(u64, u64)> = (1..=128u64).map(|k| (k, k)).collect();
+            let replace: Vec<(u64, u64)> = (1..=128u64).map(|k| (k, k + 1)).collect();
+            for items in [&fill, &replace, &vec![(129, 129)]] {
+                if batched {
+                    let mut out = vec![Ok(InsertOutcome::Inserted); items.len()];
+                    t.insert_batch(items, &mut out);
+                    assert!(out.iter().all(|o| o.is_ok()), "batched {batched}");
+                } else {
+                    for &(k, v) in items.iter() {
+                        t.insert(k, v).unwrap();
+                    }
+                }
+            }
+            assert_eq!(t.rehash_count(), 1, "the 129th key grows the table");
+            let s = t.table_stats().unwrap();
+            assert_eq!((s.lookups, s.misses, s.probe_samples), (0, 0, 0), "batched {batched}");
+            assert_eq!(s.inserts, 257, "batched {batched}");
+        }
     }
 }

@@ -56,10 +56,21 @@ impl AggFn {
     }
 }
 
-/// Rows per vectorized group-by chunk. The chunk-local dedup scans a
-/// linear array of distinct keys, so the chunk must stay small enough for
-/// that array to live in L1 and the scan to stay cheap.
+/// Rows per vectorized group-by chunk: the rows whose partial aggregates
+/// are folded locally before one batched table read and write. Each row
+/// finds its chunk-local partial through a cleared-per-chunk slot map of
+/// `4 × AGG_BATCH` one-byte entries (at most a quarter full), so the
+/// local fold costs O(1) per row.
 pub const AGG_BATCH: usize = 64;
+
+/// `log2` of the chunk-local slot map's size.
+const CHUNK_SLOT_BITS: u32 = 8;
+
+/// Entries of the chunk-local slot map. Each holds `1 +` the index of a
+/// chunk-local partial, or 0 when free, so it fits a `u8`.
+const CHUNK_SLOTS: usize = 1 << CHUNK_SLOT_BITS;
+
+const _: () = assert!(CHUNK_SLOTS >= 4 * AGG_BATCH && AGG_BATCH < u8::MAX as usize);
 
 /// Group `rows` by key and fold each group with `f`, using `table` as the
 /// aggregation state. Returns `(group_key, aggregate)` pairs in
@@ -79,21 +90,49 @@ pub fn group_aggregate<T: HashTable>(
     f: AggFn,
 ) -> Result<Vec<(u64, u64)>, TableError> {
     assert!(table.is_empty(), "group_aggregate expects a fresh state table");
+    fold_chunks(table, rows, f, |v| f.init(v), |acc, v| f.combine(acc, v))?;
+    Ok(entries(table))
+}
+
+/// Fold `rows` into `table` chunk by chunk: the first row of a group in
+/// a chunk starts its partial with `start`, later ones `add` to it, and
+/// each partial is [`AggFn::merge`]d into the group's running aggregate
+/// in `table`. Raw rows use `f`'s own start and combine; rows that are
+/// already partial aggregates start as they are and add by merging.
+fn fold_chunks<T: HashTable>(
+    table: &mut T,
+    rows: &[(u64, u64)],
+    f: AggFn,
+    start: impl Fn(u64) -> u64,
+    add: impl Fn(u64, u64) -> u64,
+) -> Result<(), TableError> {
+    let mut slots = [0u8; CHUNK_SLOTS];
     let mut keys: Vec<u64> = Vec::with_capacity(AGG_BATCH);
     let mut partials: Vec<u64> = Vec::with_capacity(AGG_BATCH);
-    let mut accs: Vec<Option<u64>> = Vec::new();
+    let mut accs: Vec<Option<u64>> = Vec::with_capacity(AGG_BATCH);
     let mut updates: Vec<(u64, u64)> = Vec::with_capacity(AGG_BATCH);
-    let mut outcomes: Vec<Result<InsertOutcome, TableError>> = Vec::new();
+    let mut outcomes: Vec<Result<InsertOutcome, TableError>> = Vec::with_capacity(AGG_BATCH);
     for chunk in rows.chunks(AGG_BATCH) {
         // Pass 1: fold the chunk locally, one partial per distinct key.
+        slots.fill(0);
         keys.clear();
         partials.clear();
         for &(key, value) in chunk {
-            match keys.iter().position(|&k| k == key) {
-                Some(i) => partials[i] = f.combine(partials[i], value),
-                None => {
-                    keys.push(key);
-                    partials.push(f.init(value));
+            let mut s = chunk_slot(key);
+            loop {
+                match slots[s] {
+                    0 => {
+                        keys.push(key);
+                        partials.push(start(value));
+                        slots[s] = keys.len() as u8;
+                        break;
+                    }
+                    i if keys[i as usize - 1] == key => {
+                        let p = &mut partials[i as usize - 1];
+                        *p = add(*p, value);
+                        break;
+                    }
+                    _ => s = (s + 1) & (CHUNK_SLOTS - 1),
                 }
             }
         }
@@ -118,15 +157,28 @@ pub fn group_aggregate<T: HashTable>(
             return Err(e);
         }
     }
+    Ok(())
+}
+
+/// `key`'s home in the chunk-local slot map (Fibonacci hashing: the top
+/// bits of a multiplicative hash).
+#[inline]
+fn chunk_slot(key: u64) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CHUNK_SLOT_BITS)) as usize
+}
+
+/// Every `(key, value)` entry of `table`.
+fn entries<T: HashTable>(table: &T) -> Vec<(u64, u64)> {
     let mut out = Vec::with_capacity(table.len());
     table.for_each(&mut |k, v| out.push((k, v)));
-    Ok(out)
+    out
 }
 
 /// Parallel group-by: split `rows` into `threads` contiguous chunks, fold
 /// each chunk into a thread-local state table with [`group_aggregate`]
 /// (no sharing, no locks), then merge the per-thread partial aggregates
-/// into one result table with [`AggFn::merge`].
+/// into one result table with [`AggFn::merge`], through the same chunked
+/// batch fold (one `lookup_batch` and one `insert_batch` per chunk).
 ///
 /// This is the standard two-phase parallel aggregation: it is exact for
 /// every [`AggFn`] because all four are commutative semigroup folds —
@@ -168,17 +220,9 @@ pub fn group_aggregate_parallel(
     });
     let mut table = builder.try_build()?;
     for thread_partials in partials {
-        for (key, partial) in thread_partials? {
-            let merged = match table.lookup(key) {
-                Some(acc) => f.merge(acc, partial),
-                None => partial,
-            };
-            table.insert(key, merged)?;
-        }
+        fold_chunks(&mut table, &thread_partials?, f, |p| p, |acc, p| f.merge(acc, p))?;
     }
-    let mut out = Vec::with_capacity(table.len());
-    table.for_each(&mut |k, v| out.push((k, v)));
-    Ok(out)
+    Ok(entries(&table))
 }
 
 /// AVERAGE per group: algebraic over (SUM, COUNT), maintained in two state
@@ -346,6 +390,61 @@ mod tests {
             let got: HashMap<u64, u64> =
                 group_aggregate(&mut t, &rows, f).unwrap().into_iter().collect();
             assert_eq!(got, expect, "{f:?}");
+        }
+    }
+
+    #[test]
+    fn keys_colliding_in_the_chunk_local_index_stay_apart() {
+        // `base + i · φ⁻¹` times φ is `base · φ + i`: every key lands on
+        // the same chunk-local slot (255, so probes also wrap to 0).
+        let phi = 0x9E37_79B9_7F4A_7C15u64;
+        let mut inv = phi;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(phi.wrapping_mul(inv)));
+        }
+        let base = (0xFFu64 << 56).wrapping_mul(inv);
+        let keys: Vec<u64> =
+            (0..AGG_BATCH as u64).map(|i| base.wrapping_add(i.wrapping_mul(inv))).collect();
+        assert!(keys.iter().all(|&k| chunk_slot(k) == CHUNK_SLOTS - 1));
+        let rows: Vec<(u64, u64)> =
+            (0..1000u64).map(|i| (keys[(i * 7 % keys.len() as u64) as usize], i)).collect();
+        for f in [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count] {
+            let mut t: LinearProbing<Murmur> = LinearProbing::with_seed(8, 6);
+            let got: HashMap<u64, u64> =
+                group_aggregate(&mut t, &rows, f).unwrap().into_iter().collect();
+            assert_eq!(got, reference(&rows, f), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn state_table_ending_exactly_at_its_growth_trigger() {
+        // 64 groups in a table grown from 16 to 128 slots sit exactly at
+        // the 50% trigger, so every row after the last new group is a
+        // replacement at the trigger — sequentially and in the merge of
+        // the parallel operator.
+        use sevendim_core::TableScheme;
+        let rows: Vec<(u64, u64)> = (0..5000u64).map(|i| (i * 37 % 64 + 1, i % 11)).collect();
+        for scheme in [TableScheme::LinearProbing, TableScheme::RobinHood, TableScheme::Fingerprint]
+        {
+            let builder = TableBuilder::new(scheme).bits(4).seed(8).grow_at(0.5);
+            for f in [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::Count] {
+                let expect = reference(&rows, f);
+                let mut t = builder.build();
+                let got: HashMap<u64, u64> =
+                    group_aggregate(&mut t, &rows, f).unwrap().into_iter().collect();
+                assert_eq!(got, expect, "{scheme:?} {f:?}");
+                assert_eq!((t.len(), t.capacity()), (64, 128), "{scheme:?} {f:?}");
+                let stats = t.table_stats().expect("a growing table reports stats");
+                assert_eq!(stats.rehashes, 3, "{scheme:?} {f:?}");
+                for threads in [2, 3] {
+                    let got: HashMap<u64, u64> =
+                        group_aggregate_parallel(&builder, &rows, f, threads)
+                            .unwrap()
+                            .into_iter()
+                            .collect();
+                    assert_eq!(got, expect, "{scheme:?} {f:?} x{threads}");
+                }
+            }
         }
     }
 

@@ -28,7 +28,7 @@ mod tests_common;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use seven_dim_hashing::prelude::*;
-use seven_dim_hashing::tables::{EMPTY_KEY, MAX_KEY, TOMBSTONE_KEY};
+use seven_dim_hashing::tables::{TableFactory, EMPTY_KEY, MAX_KEY, TOMBSTONE_KEY};
 use std::collections::HashMap;
 
 /// Slots per open-addressing table (2^11). The 800-key universe tops out
@@ -512,6 +512,240 @@ fn growth_grid_all_at_once_sharded() {
     for (i, scheme) in tests_common::all_schemes().into_iter().enumerate() {
         let base = TableBuilder::new(scheme).hash(HashKind::Mult).bits(6).seed(0xD12).grow_at(0.7);
         growth_oracle(&base.clone().shards(2), &base, 0x7B1 + 131 * i as u64);
+    }
+}
+
+/// Growth threshold of the batch twin grid: exact in binary, so a
+/// `FillToTrigger` batch lands exactly on the table's fixed-point trigger.
+const TWIN_GROW_AT: f64 = 0.75;
+
+/// The insert batches of a batch twin run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum TwinBatch {
+    /// Fresh keys, replacements, in-batch duplicates and reserved keys.
+    Mixed,
+    /// Fresh keys that fill the table exactly to its growth trigger.
+    FillToTrigger,
+    /// Only replacements of live keys.
+    Replacements,
+    /// A fresh key (which grows a table at its trigger), then replacements.
+    GrowFirst,
+}
+
+/// What a batch twin run saw, for the cells that must provoke a case.
+#[derive(Default)]
+struct TwinReport {
+    /// A rebuild began while the table was below its growth threshold
+    /// (capacity pressure, e.g. a cuckoo cycle).
+    rebuilt_below_threshold: bool,
+    /// Some insert was refused with this error.
+    errors: Vec<TableError>,
+}
+
+/// Batch-vs-element twin: drive `batched` through `insert_batch` and
+/// `single` through element-wise `insert` with the same items, and the
+/// same `lookup_batch`/`delete_batch` calls on both. After every call the
+/// outcomes, `len`, `capacity` and `table_stats` (rehash and switch
+/// counts included) must be equal. Batches mix fresh keys, replacements,
+/// in-batch duplicates and reserved keys; every third round first fills
+/// the table exactly to its growth trigger, then sends a batch of only
+/// replacements, then one that opens with the fresh key that grows it.
+fn batch_twin<T: HashTable>(
+    mut batched: T,
+    mut single: T,
+    grow_at: f64,
+    name: &str,
+    seed: u64,
+) -> TwinReport {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut live: Vec<u64> = Vec::new();
+    let mut report = TwinReport::default();
+    let mut next_key = 0u64;
+    let mut fresh_key = |rng: &mut StdRng| {
+        next_key += 1;
+        (next_key << 20) ^ (rng.gen::<u64>() >> 45)
+    };
+    for round in 0..18 {
+        let shapes: &[TwinBatch] = if round % 3 == 2 {
+            &[TwinBatch::FillToTrigger, TwinBatch::Replacements, TwinBatch::GrowFirst]
+        } else {
+            &[TwinBatch::Mixed]
+        };
+        for &shape in shapes {
+            let mut items: Vec<(u64, u64)> = Vec::new();
+            match shape {
+                TwinBatch::Mixed => {
+                    for i in 0..48usize {
+                        let k = match i % 8 {
+                            3 if !live.is_empty() => live[rng.gen_range(0..live.len())],
+                            5 if !items.is_empty() => items[rng.gen_range(0..items.len())].0,
+                            7 if i % 16 == 7 => [EMPTY_KEY, TOMBSTONE_KEY][i / 16 % 2],
+                            _ => fresh_key(&mut rng),
+                        };
+                        items.push((k, rng.gen::<u64>() >> 1));
+                    }
+                }
+                TwinBatch::FillToTrigger => {
+                    let limit = (grow_at * batched.capacity() as f64) as usize;
+                    for _ in batched.len()..limit {
+                        items.push((fresh_key(&mut rng), rng.gen::<u64>() >> 1));
+                    }
+                }
+                TwinBatch::Replacements | TwinBatch::GrowFirst => {
+                    if shape == TwinBatch::GrowFirst {
+                        items.push((fresh_key(&mut rng), 1));
+                    }
+                    for i in 0..40.min(live.len()) {
+                        items.push((live[(i * 7 + round) % live.len()], rng.gen::<u64>() >> 1));
+                    }
+                }
+            }
+            let (cap, len) = (batched.capacity(), batched.len());
+            let rehashes = batched.table_stats().map_or(0, |s| s.rehashes);
+            let mut out = vec![Ok(InsertOutcome::Inserted); items.len()];
+            batched.insert_batch(&items, &mut out);
+            let expect: Vec<_> = items.iter().map(|&(k, v)| single.insert(k, v)).collect();
+            let ctx = format!("{name} round {round} {shape:?} batch");
+            assert_eq!(out, expect, "{ctx}: outcomes");
+            check_twins(&batched, &single, &ctx);
+            let stats = batched.table_stats().unwrap_or_default();
+            let limit = (grow_at * cap as f64) as usize;
+            if stats.rehashes > rehashes && len + items.len() <= limit {
+                report.rebuilt_below_threshold = true;
+            }
+            for (o, &(k, _)) in out.iter().zip(&items) {
+                match o {
+                    Ok(_) if !live.contains(&k) => live.push(k),
+                    Err(e) if *e != TableError::ReservedKey && !report.errors.contains(e) => {
+                        report.errors.push(*e)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // Reads (the adaptive controller's evidence, half of them misses)
+        // and deletes of the oldest keys, identical on both twins.
+        let probe: Vec<u64> = (0..64)
+            .map(|i| {
+                if i % 2 == 0 && !live.is_empty() {
+                    live[i % live.len()]
+                } else {
+                    fresh_key(&mut rng)
+                }
+            })
+            .collect();
+        let (mut la, mut lb) = (vec![None; probe.len()], vec![None; probe.len()]);
+        batched.lookup_batch(&probe, &mut la);
+        single.lookup_batch(&probe, &mut lb);
+        assert_eq!(la, lb, "{name} round {round}: lookups");
+        let victims: Vec<u64> = live.iter().take(6).copied().collect();
+        let (mut da, mut db) = (vec![None; victims.len()], vec![None; victims.len()]);
+        batched.delete_batch(&victims, &mut da);
+        single.delete_batch(&victims, &mut db);
+        assert_eq!(da, db, "{name} round {round}: deletes");
+        live.retain(|k| !victims.contains(k));
+        check_twins(&batched, &single, &format!("{name} round {round} reads"));
+    }
+    let contents = |t: &T| {
+        let mut m = HashMap::new();
+        t.for_each(&mut |k, v| {
+            m.insert(k, v);
+        });
+        m
+    };
+    assert_eq!(contents(&batched), contents(&single), "{name}: final contents");
+    report
+}
+
+fn check_twins<T: HashTable>(batched: &T, single: &T, ctx: &str) {
+    assert_eq!(batched.len(), single.len(), "{ctx}: len");
+    assert_eq!(batched.capacity(), single.capacity(), "{ctx}: capacity");
+    assert_eq!(batched.table_stats(), single.table_stats(), "{ctx}: table_stats");
+}
+
+/// Every scheme × {stop-the-world, incremental} × {grow, switch,
+/// adaptive}: batched inserts into a `DynamicTable` are element-wise
+/// identical to single-key inserts, including every growth point.
+#[test]
+fn batch_twin_grid() {
+    let adaptive = MigrationPolicy::Adaptive(AdaptiveConfig {
+        check_every: 64,
+        min_lookups: 32,
+        cooldown: 256,
+    });
+    for (i, scheme) in tests_common::all_schemes().into_iter().enumerate() {
+        let target = if scheme == TableScheme::Fingerprint {
+            TableChoice::LPMult
+        } else {
+            TableChoice::FpMult
+        };
+        for incremental in [false, true] {
+            for migration in [MigrationPolicy::Grow, MigrationPolicy::Switch(target), adaptive] {
+                let mut desc = TableBuilder::new(scheme)
+                    .hash(HashKind::Mult)
+                    .bits(6)
+                    .seed(0xB7 + i as u64)
+                    .grow_at(TWIN_GROW_AT)
+                    .migration(migration);
+                if incremental {
+                    desc = desc.incremental(2);
+                }
+                let name = format!("{} incremental {incremental} {migration:?}", desc.label());
+                batch_twin(desc.build(), desc.build(), TWIN_GROW_AT, &name, 0x7A1 + 17 * i as u64);
+            }
+        }
+    }
+}
+
+/// Two-choice cuckoo saturates near 50% load, far below a 99% trigger,
+/// so its growth comes from cuckoo cycles inside batches: the batch path
+/// must rebuild exactly where the element-wise path does.
+#[test]
+fn batch_twin_cuckoo_fails_below_threshold() {
+    for incremental in [false, true] {
+        let mut desc = TableBuilder::new(TableScheme::Cuckoo2)
+            .hash(HashKind::Mult)
+            .bits(6)
+            .seed(0xC2)
+            .grow_at(0.99);
+        if incremental {
+            desc = desc.incremental(2);
+        }
+        let name = format!("CuckooH2 at 0.99, incremental {incremental}");
+        let report = batch_twin(desc.build(), desc.build(), 0.99, &name, 0xC2C2);
+        assert!(report.rebuilt_below_threshold, "{name}: no below-threshold rebuild happened");
+    }
+}
+
+/// A chained factory with a fixed §4.5 budget per generation: its budget
+/// refuses inserts well before the 90% growth trigger.
+#[derive(Clone)]
+struct BudgetedChained;
+
+impl TableFactory for BudgetedChained {
+    type Table = ChainedTable8<Murmur>;
+
+    fn build(&self, bits: u8, seed: u64) -> Self::Table {
+        ChainedTable8::with_budget(bits, 1 << (bits - 1), seed).expect("budget fits the directory")
+    }
+
+    fn scheme_name(&self) -> &'static str {
+        "ChainedH8"
+    }
+}
+
+/// A budget refusal inside a batch reaches the caller element by element,
+/// exactly as from single-key inserts.
+#[test]
+fn batch_twin_budget_errors_reach_the_caller() {
+    for policy in [GrowthPolicy::AllAtOnce, GrowthPolicy::Incremental { step: 2 }] {
+        let build = || DynamicTable::with_policy(BudgetedChained, 6, 5, 0.9, policy);
+        let name = format!("budgeted ChainedH8 {policy:?}");
+        let report = batch_twin(build(), build(), 0.9, &name, 0xB0D6);
+        assert!(
+            report.errors.contains(&TableError::MemoryBudgetExceeded),
+            "{name}: the budget never refused an insert"
+        );
     }
 }
 
