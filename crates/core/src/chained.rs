@@ -20,13 +20,14 @@
 //! [`TableError::MemoryBudgetExceeded`].
 
 use crate::budget::{chained24_directory_bits, chained8_directory_bits, CHAIN_ENTRY_BYTES};
+use crate::slot_array::SlotArray;
 use crate::{is_reserved_key, HashTable, InsertOutcome, MemoryBudget, TableError, EMPTY_KEY};
 use hashfn::{fold_to_bits, HashFamily, HashFn64};
 use slab_alloc::{Entry, EntryAllocator, EntryRef, SlabAllocator};
 
 /// ChainedH8: directory of links, entries in the allocator.
 pub struct ChainedTable8<H: HashFn64, A: EntryAllocator = SlabAllocator> {
-    directory: Box<[Option<EntryRef>]>,
+    directory: SlotArray<Option<EntryRef>>,
     dir_bits: u8,
     hash: H,
     alloc: A,
@@ -78,7 +79,7 @@ impl<H: HashFn64, A: EntryAllocator> ChainedTable8<H, A> {
     ) -> Self {
         let dir_len = crate::check_capacity_bits(dir_bits);
         Self {
-            directory: vec![None; dir_len].into_boxed_slice(),
+            directory: SlotArray::new(dir_len, None),
             dir_bits,
             hash,
             alloc,
@@ -232,7 +233,7 @@ impl<H: HashFn64, A: EntryAllocator> HashTable for ChainedTable8<H, A> {
 
 /// ChainedH24: 24-byte directory slots with the first entry inline.
 pub struct ChainedTable24<H: HashFn64, A: EntryAllocator = SlabAllocator> {
-    directory: Box<[Entry]>,
+    directory: SlotArray<Entry>,
     dir_bits: u8,
     hash: H,
     alloc: A,
@@ -286,7 +287,7 @@ impl<H: HashFn64, A: EntryAllocator> ChainedTable24<H, A> {
     ) -> Self {
         let dir_len = crate::check_capacity_bits(dir_bits);
         Self {
-            directory: vec![EMPTY_SLOT; dir_len].into_boxed_slice(),
+            directory: SlotArray::new(dir_len, EMPTY_SLOT),
             dir_bits,
             hash,
             alloc,

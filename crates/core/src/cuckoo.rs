@@ -17,6 +17,7 @@
 //! 90%. The `K = 2, 3` variants back the threshold ablation.
 
 use crate::simd::{clamp_prefetch_batch, prefetch_read, MAX_PREFETCH_BATCH, PREFETCH_BATCH};
+use crate::slot_array::SlotArray;
 use crate::{check_capacity_bits, is_reserved_key, HashTable, InsertOutcome, Pair, TableError};
 use hashfn::HashFamily;
 use rand::{rngs::StdRng, SeedableRng};
@@ -35,7 +36,7 @@ pub const DEFAULT_MAX_REHASH_ATTEMPTS: usize = 8;
 /// `CuckooH4Mult` in the paper is `Cuckoo<MultShift, 4>`; aliases
 /// [`CuckooH2`], [`CuckooH3`], [`CuckooH4`] are provided.
 pub struct Cuckoo<H: HashFamily, const K: usize> {
-    slots: Box<[Pair]>,
+    slots: SlotArray<Pair>,
     sub_size: usize,
     hashes: [H; K],
     len: usize,
@@ -71,7 +72,7 @@ impl<H: HashFamily, const K: usize> Cuckoo<H, K> {
         let mut rng = StdRng::seed_from_u64(seed);
         let hashes = std::array::from_fn(|_| H::sample(&mut rng));
         Self {
-            slots: vec![Pair::empty(); sub_size * K].into_boxed_slice(),
+            slots: SlotArray::new(sub_size * K, Pair::empty()),
             sub_size,
             hashes,
             len: 0,

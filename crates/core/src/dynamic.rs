@@ -1009,8 +1009,18 @@ impl<F: TableFactory> HashTable for DynamicTable<F> {
         }
     }
 
+    /// Under [`MigrationPolicy::Adaptive`] every key takes the single-key
+    /// path, because the controller counts mutating ops toward
+    /// [`AdaptiveConfig::check_every`] one per key; otherwise the batch
+    /// pays one policy tick and one drain step of `step × len`.
     fn delete_batch(&mut self, keys: &[u64], out: &mut [Option<u64>]) {
         assert_eq!(keys.len(), out.len(), "delete_batch: keys and out lengths differ");
+        if matches!(self.migration, MigrationPolicy::Adaptive(_)) {
+            for (o, &k) in out.iter_mut().zip(keys) {
+                *o = self.delete(k);
+            }
+            return;
+        }
         self.stats.record_deletes(keys.len() as u64);
         let _ = self.policy_tick();
         if self.old.is_some() {
@@ -1808,6 +1818,44 @@ mod tests {
             t.delete(2_000_000 + round);
         }
         assert_eq!(t.scheme_switches(), 1, "cooldown must pin the table after the first switch");
+    }
+
+    #[test]
+    fn adaptive_delete_batch_ticks_the_controller_once_per_key() {
+        // A batch of deletes must count toward `check_every` as many
+        // single deletes do, or the switch point depends on batching.
+        // 12 keys in 16 slots put the miss-heavy reads in the graph's
+        // fingerprint band.
+        let cfg = AdaptiveConfig { check_every: 4, min_lookups: 8, cooldown: 10_000 };
+        let miss_heavy = || {
+            let mut t = builder_table(
+                TableScheme::LinearProbing,
+                4,
+                GrowthPolicy::Incremental { step: 64 },
+                MigrationPolicy::Adaptive(cfg),
+            );
+            for k in 1..=12u64 {
+                t.insert(k, k).unwrap();
+            }
+            for k in 0..2000u64 {
+                assert_eq!(t.lookup(1_000_000 + k), None);
+            }
+            t
+        };
+        let victims: Vec<u64> = (2_000_000..2_000_008).collect();
+        let mut single = miss_heavy();
+        for &k in &victims {
+            assert_eq!(single.delete(k), None);
+        }
+        let mut batched = miss_heavy();
+        let mut out = vec![Some(0); victims.len()];
+        batched.delete_batch(&victims, &mut out);
+        assert_eq!(out, vec![None; victims.len()]);
+        for t in [&single, &batched] {
+            assert_eq!(t.scheme_switches(), 1);
+            assert!(t.inner().display_name().starts_with("FP"), "{}", t.inner().display_name());
+        }
+        assert_eq!(batched.table_stats(), single.table_stats());
     }
 
     #[test]

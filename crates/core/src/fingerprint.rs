@@ -43,6 +43,7 @@ use crate::simd::{
     clamp_prefetch_batch, prefetch_read, scan_tags, ProbeKind, TagScan, EMPTY_TAG, PREFETCH_BATCH,
     TOMBSTONE_TAG,
 };
+use crate::slot_array::SlotArray;
 use crate::{
     check_capacity_bits, is_reserved_key, HashTable, InsertOutcome, TableError, EMPTY_KEY,
 };
@@ -74,9 +75,9 @@ pub struct FingerprintTable<H: HashFn64, const GROUP: usize = GROUP_SLOTS> {
     /// One control byte per slot: 7-bit fingerprint, [`EMPTY_TAG`], or
     /// [`TOMBSTONE_TAG`]. Contiguous, so probing touches 1/16th the bytes
     /// of a key scan.
-    tags: Box<[u8]>,
-    keys: Box<[u64]>,
-    values: Box<[u64]>,
+    tags: SlotArray<u8>,
+    keys: SlotArray<u64>,
+    values: SlotArray<u64>,
     /// `log2` of the slot count.
     bits: u8,
     group_mask: usize,
@@ -113,9 +114,9 @@ impl<H: HashFn64, const GROUP: usize> FingerprintTable<H, GROUP> {
         let cap = check_capacity_bits(bits);
         assert!(cap >= GROUP, "capacity 2^{bits} is smaller than one {GROUP}-slot group");
         Self {
-            tags: vec![EMPTY_TAG; cap].into_boxed_slice(),
-            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
-            values: vec![0; cap].into_boxed_slice(),
+            tags: SlotArray::new(cap, EMPTY_TAG),
+            keys: SlotArray::new(cap, EMPTY_KEY),
+            values: SlotArray::new(cap, 0),
             bits,
             group_mask: cap / GROUP - 1,
             hash,

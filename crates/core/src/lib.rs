@@ -53,6 +53,7 @@ pub mod quadratic;
 pub mod robin_hood;
 pub mod sharded;
 pub mod simd;
+mod slot_array;
 pub mod stats;
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ use crate::simd::{
     clamp_prefetch_batch, prefetch_read, scan_keys, scan_pairs, ProbeKind, ScanOutcome, ScanResult,
     MAX_PREFETCH_BATCH, PREFETCH_BATCH,
 };
+use crate::slot_array::SlotArray;
 use crate::{
     check_capacity_bits, home_slot, is_reserved_key, HashTable, InsertOutcome, Pair, TableError,
     EMPTY_KEY, TOMBSTONE_KEY,
@@ -56,7 +57,11 @@ pub trait SlotLayout: sealed::Sealed + Clone + Send + Sync + 'static {
     /// Display-name infix: `""` or `"SoA"`.
     const NAME: &'static str;
 
-    /// `cap` empty slots.
+    /// `cap` empty slots. On Linux, each array of at least one whole
+    /// 2 MiB-aligned huge page is advised for transparent huge pages
+    /// (`madvise(MADV_HUGEPAGE)`) before it is filled, so a table far
+    /// larger than the cache does not pay a page walk per probe; the size
+    /// and [`SlotLayout::memory_bytes`] are those of plain arrays.
     fn with_capacity(cap: usize) -> Self;
     /// The probed array.
     fn slots(&self) -> &[Self::Slot];
@@ -92,7 +97,7 @@ pub trait SlotLayout: sealed::Sealed + Clone + Send + Sync + 'static {
 /// Array-of-structs: interleaved 16-byte [`Pair`]s ("similar to a row
 /// layout"), the layout the paper found superior in most cases (§7).
 #[derive(Clone)]
-pub struct Aos(Box<[Pair]>);
+pub struct Aos(SlotArray<Pair>);
 
 impl sealed::Sealed for Aos {}
 
@@ -120,7 +125,7 @@ impl SlotLayout for Aos {
     const NAME: &'static str = "";
 
     fn with_capacity(cap: usize) -> Self {
-        Aos(vec![Pair::empty(); cap].into_boxed_slice())
+        Aos(SlotArray::new(cap, Pair::empty()))
     }
 
     #[inline(always)]
@@ -173,8 +178,8 @@ impl SlotLayout for Aos {
 /// cache line as AoS — and a hit pays a second line for the value.
 #[derive(Clone)]
 pub struct Soa {
-    keys: Box<[u64]>,
-    values: Box<[u64]>,
+    keys: SlotArray<u64>,
+    values: SlotArray<u64>,
 }
 
 impl sealed::Sealed for Soa {}
@@ -185,10 +190,7 @@ impl SlotLayout for Soa {
     const NAME: &'static str = "SoA";
 
     fn with_capacity(cap: usize) -> Self {
-        Soa {
-            keys: vec![EMPTY_KEY; cap].into_boxed_slice(),
-            values: vec![0; cap].into_boxed_slice(),
-        }
+        Soa { keys: SlotArray::new(cap, EMPTY_KEY), values: SlotArray::new(cap, 0) }
     }
 
     #[inline(always)]

@@ -543,8 +543,9 @@ struct TwinReport {
 }
 
 /// Batch-vs-element twin: drive `batched` through `insert_batch` and
-/// `single` through element-wise `insert` with the same items, and the
-/// same `lookup_batch`/`delete_batch` calls on both. After every call the
+/// `delete_batch` and `single` through element-wise `insert` and
+/// `delete` with the same items, and the same `lookup_batch` calls on
+/// both. After every call the
 /// outcomes, `len`, `capacity` and `table_stats` (rehash and switch
 /// counts included) must be equal. Batches mix fresh keys, replacements,
 /// in-batch duplicates and reserved keys; every third round first fills
@@ -639,9 +640,9 @@ fn batch_twin<T: HashTable>(
         single.lookup_batch(&probe, &mut lb);
         assert_eq!(la, lb, "{name} round {round}: lookups");
         let victims: Vec<u64> = live.iter().take(6).copied().collect();
-        let (mut da, mut db) = (vec![None; victims.len()], vec![None; victims.len()]);
+        let mut da = vec![None; victims.len()];
         batched.delete_batch(&victims, &mut da);
-        single.delete_batch(&victims, &mut db);
+        let db: Vec<_> = victims.iter().map(|&k| single.delete(k)).collect();
         assert_eq!(da, db, "{name} round {round}: deletes");
         live.retain(|k| !victims.contains(k));
         check_twins(&batched, &single, &format!("{name} round {round} reads"));
